@@ -99,9 +99,19 @@ int main(int argc, char** argv) {
   const Args args(argc, argv);
   const std::uint64_t messages = args.messages(2'000);
   const double work_us = args.value_or("work", 5.0);
-  const auto clients = static_cast<std::uint32_t>(
-      args.value_or("clients", std::int64_t{8}));
   const std::vector<std::uint32_t> worker_counts = {1, 2, 4};
+  // Every width needs a client per shard, and the channel seats at most
+  // kMaxClients: reject the rest here, before any child is forked.
+  const std::int64_t max_workers = worker_counts.back();
+  const std::int64_t clients_arg = args.value_or("clients", std::int64_t{8});
+  if (clients_arg < max_workers || clients_arg > kMaxClients) {
+    std::cerr << "fig11b_server_pool: --clients=" << clients_arg
+              << " out of range [" << max_workers << ", " << kMaxClients
+              << "] (need at least one client per worker at " << max_workers
+              << " workers)\n";
+    return 2;
+  }
+  const auto clients = static_cast<std::uint32_t>(clients_arg);
   const int cpus = cpu_count();
 
   std::cout << "Figure 11b — sharded server pool scale-out (native, " << cpus

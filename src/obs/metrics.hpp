@@ -70,7 +70,6 @@ enum class SlotRole : std::uint32_t {
   kUnbound = 0,
   kServer,
   kClient,
-  kDuplexThread,
   kPoolWorker,
   kLoadgen,  // scenario-engine client (tools/ulipc-perf)
 };
@@ -80,7 +79,6 @@ constexpr const char* slot_role_name(SlotRole r) noexcept {
     case SlotRole::kUnbound: return "-";
     case SlotRole::kServer: return "server";
     case SlotRole::kClient: return "client";
-    case SlotRole::kDuplexThread: return "duplex";
     case SlotRole::kPoolWorker: return "pool";
     case SlotRole::kLoadgen: return "loadgen";
   }
@@ -188,8 +186,7 @@ struct RecoveryCounters {
 /// Slot/ring index convention (mirrors the channel's endpoint layout):
 ///   0                  server
 ///   1 .. n             clients (n = max_clients)
-///   n+1 .. 2n          duplex server threads (slots exist even on
-///                      non-duplex channels; they just stay unbound)
+///   n+1 .. n+shards    pool workers (none on a single-server channel)
 ///   ring slot_count    the extra recovery ring (kRecovery events, written
 ///                      under the recovery lock by whoever reclaims)
 ///
@@ -206,7 +203,9 @@ struct alignas(kCacheLineSize) ObsHeader {
   // kWakeInFlightNs, kServiceNs, kReplyPathNs) — MetricSlot layout change.
   // v4: LiveCounters grew doorbell_arms/spurious_ungates and histograms
   // grew kMembersReady (the waitset readiness plane) — layout changes.
-  static constexpr std::uint32_t kVersion = 4;
+  // v5: the thread-per-client role left SlotRole (pool workers renumbered)
+  // and the worker slot range holds `shards` slots instead of max_clients.
+  static constexpr std::uint32_t kVersion = 5;
 
   std::uint64_t magic = 0;
   std::uint32_t version = 0;

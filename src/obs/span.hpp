@@ -31,8 +31,8 @@ namespace ulipc::obs {
 /// Span-id bit layout: | pid (32) | slot id (8) | sequence (24) |.
 /// The pid makes ids unique across processes without coordination; the slot
 /// component disambiguates multiple minting platform instances inside one
-/// process (duplex threads, pool workers); the 24-bit sequence wraps after
-/// 16M mints per (pid, slot), far beyond any ring's 1024-record horizon.
+/// process (pool workers); the 24-bit sequence wraps after 16M mints per
+/// (pid, slot), far beyond any ring's 1024-record horizon.
 /// Id 0 is reserved for "untraced".
 constexpr std::uint64_t make_span_id(std::uint32_t pid, std::uint32_t slot_id,
                                      std::uint32_t seq) noexcept {

@@ -122,44 +122,6 @@ ServerResult run_echo_server(P& p, Proto& proto, typename P::Endpoint& srv,
   return result;
 }
 
-/// Crash-aware variant of run_echo_server. Receives with a bounded wait;
-/// whenever `liveness_timeout_ns` elapses with no traffic it calls
-/// `probe_crashed()`, which checks peer liveness, reclaims whatever the
-/// corpses held, and returns how many clients it found dead — those count
-/// as disconnected, so the loop still terminates once every expected client
-/// has either disconnected or died. Replies are also bounded by the same
-/// timeout: a dead client's full reply queue must not wedge the server (the
-/// dropped reply's node is swept together with the rest of the corpse's
-/// state).
-template <typename P, typename Proto, typename ReplyEp, typename CrashProbe>
-ServerResult run_echo_server_timed(P& p, Proto& proto,
-                                   typename P::Endpoint& srv,
-                                   ReplyEp&& reply_ep,
-                                   std::uint32_t expected_clients,
-                                   std::int64_t liveness_timeout_ns,
-                                   CrashProbe&& probe_crashed) {
-  ServerResult result;
-  std::uint32_t disconnected = 0;
-  const auto reply_bounded = [&](typename P::Endpoint& ep, const Message& m) {
-    (void)proto.reply_until(p, ep, m, p.time_ns() + liveness_timeout_ns);
-  };
-  while (disconnected < expected_clients) {
-    Message msg;
-    const Status st = proto.receive_until(p, srv, &msg,
-                                          p.time_ns() + liveness_timeout_ns);
-    if (st == Status::kTimeout) {
-      disconnected += probe_crashed();
-      continue;
-    }
-    const Message reply = serve_one_request(p, msg, result, disconnected);
-    reply_bounded(reply_ep(msg.channel), reply);
-  }
-  if constexpr (requires { proto.flush(p); }) {
-    proto.flush(p);
-  }
-  return result;
-}
-
 /// Client connect handshake (synchronous; server echoes the connect).
 template <typename P, typename Proto>
 void client_connect(P& p, Proto& proto, typename P::Endpoint& srv,

@@ -106,9 +106,11 @@ struct ShardMap {
   }
 
   /// Chooses an ACTIVE shard for `client` under `policy` without assigning
-  /// it. Returns kNoShard iff no shard is active.
-  [[nodiscard]] std::uint32_t pick(std::uint32_t client,
-                                   PlacementPolicy policy) const noexcept {
+  /// it. Returns kNoShard iff no shard is active. Under least-loaded,
+  /// `*seen_load` (if given) receives the chosen shard's load as read.
+  [[nodiscard]] std::uint32_t pick(
+      std::uint32_t client, PlacementPolicy policy,
+      std::uint32_t* seen_load = nullptr) const noexcept {
     const std::uint32_t n = count();
     std::uint32_t best = kNoShard;
     if (policy == PlacementPolicy::kRendezvous) {
@@ -132,6 +134,7 @@ struct ShardMap {
           best_load = load;
         }
       }
+      if (seen_load != nullptr) *seen_load = best_load;
     }
     return best;
   }
@@ -151,10 +154,33 @@ struct ShardMap {
     return s;
   }
 
-  /// pick() + assign(): the connect-time placement step.
+  /// pick() + assign(): the connect-time placement step. Under
+  /// least-loaded the chosen shard's count is claimed with a CAS from the
+  /// load pick() saw, and a client that loses that race re-picks: two
+  /// clients connecting at once can no longer both take the same minimum.
   std::uint32_t place(std::uint32_t client, PlacementPolicy policy) noexcept {
-    const std::uint32_t s = pick(client, policy);
-    return s == kNoShard ? kNoShard : assign(client, s);
+    if (policy != PlacementPolicy::kLeastLoaded) {
+      const std::uint32_t s = pick(client, policy);
+      return s == kNoShard ? kNoShard : assign(client, s);
+    }
+    for (;;) {
+      std::uint32_t load = 0;
+      const std::uint32_t s = pick(client, policy, &load);
+      if (s == kNoShard) return kNoShard;
+      if (!shards[s].assigned.compare_exchange_strong(
+              load, load + 1, std::memory_order_acq_rel)) {
+        continue;
+      }
+      // The claim already counted the client on `s`; release its old
+      // shard's count (its own claim, when it was already on `s`).
+      const std::uint32_t old =
+          assignment_of[client].exchange(s, std::memory_order_acq_rel);
+      if (old != kNoShard) {
+        shards[old].assigned.fetch_sub(1, std::memory_order_acq_rel);
+      }
+      epoch.fetch_add(1, std::memory_order_acq_rel);
+      return s;
+    }
   }
 
   void unplace(std::uint32_t client) noexcept { assign(client, kNoShard); }
@@ -178,9 +204,8 @@ struct ShardMap {
     std::uint32_t moved = 0;
     for (std::uint32_t c = 0; c < MaxClients; ++c) {
       if (assignment(c) != dead) continue;
-      const std::uint32_t s = pick(c, policy);
-      if (s == kNoShard) break;  // no survivors: leave assignments in place
-      assign(c, s);
+      // No survivors: leave assignments in place.
+      if (place(c, policy) == kNoShard) break;
       ++moved;
     }
     return moved;

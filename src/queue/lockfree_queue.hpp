@@ -8,8 +8,9 @@
 // the same way.
 //
 // Differences from the textbook version, required by our setting:
-//  * bounded capacity via the same CAS-reserve on size_ as the two-lock
-//    engine — reserve first, so a crash mid-enqueue can only leave size_
+//  * bounded capacity via a CAS-reserve on size_ (the two-lock engine
+//    counts under its locks instead; there are none here) — reserve
+//    first, so a crash mid-enqueue can only leave size_
 //    OVER-counting (fail-safe: a spurious non-empty probe, never a lost
 //    wake-up). mark_reachable() heals the counter when it can prove the
 //    queue quiescent (see below);
@@ -256,9 +257,9 @@ class LockFreeQueue {
     if (quiescent && sz0 != count) {
       // Heal the over-count a dead enqueuer leaves between its capacity
       // reservation and its link CAS. Quiescence can still be spoofed by
-      // a reserver parked for the whole walk — same exposure as the
-      // two-lock engine's reseat, whose locks also cannot see parked
-      // reservations (DESIGN.md §18).
+      // a reserver parked for the whole walk, whose reservation the reseat
+      // then erases (DESIGN.md §18); the two-lock engine avoids this by
+      // counting under its locks.
       size_.store(count, std::memory_order_release);
     }
     return count;

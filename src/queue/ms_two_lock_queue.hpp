@@ -14,7 +14,11 @@
 //    pool exhausted or per-queue capacity reached) — the paper's protocols
 //    handle that with sleep(1) flow control;
 //  * a size counter supports the capacity bound and the empty()/size()
-//    probes the BSLS protocol polls;
+//    probes the BSLS protocol polls. It only moves inside the lock that
+//    orders the matching structural change (tail lock: count, then link;
+//    head lock: advance, then uncount), so a recovery sweep holding both
+//    locks sees it exact for every live process and can reseat it to the
+//    reachable count without erasing an in-flight operation;
 //  * batched variants (enqueue_batch/dequeue_batch) amortize one lock
 //    acquisition over a whole burst: the enqueuer pre-links the node chain
 //    outside the lock and splices it with two writes, the dequeuer walks
@@ -42,9 +46,9 @@
 //    already holds tail; dequeue takes head alone and never tail, so the
 //    ordering cannot deadlock). The dequeue critical section is
 //    single-assignment (head_ = next) — batched or not — and needs no
-//    structural repair; a corpse can only leak its detached nodes and leave
-//    size_ stale, both healed by the recovery sweep
-//    (queue/queue_recovery.hpp).
+//    structural repair; a corpse can only leak its detached nodes (and,
+//    dying inside a critical section, leave size_ stale), both healed by
+//    the recovery sweep (queue/queue_recovery.hpp).
 #pragma once
 
 #include <algorithm>
@@ -99,31 +103,33 @@ class TwoLockQueue {
   /// publication, so the dequeuer's acquire read of the next link orders it
   /// exactly like the msg bytes.
   bool enqueue(const Message& msg, SpanStamp stamp = {}) noexcept {
-    // Reserve capacity first so we never strand an allocated node.
-    std::uint32_t sz = size_.load(std::memory_order_relaxed);
-    do {
-      if (sz >= capacity_) return false;
-    } while (!size_.compare_exchange_weak(sz, sz + 1,
-                                          std::memory_order_acquire,
-                                          std::memory_order_relaxed));
-
     NodePool& pool = *pool_;
-    const ShmIndex node_idx = pool.allocate();
-    if (node_idx == kNullIndex) {
-      size_.fetch_sub(1, std::memory_order_release);
-      return false;
-    }
-    MsgNode& node = pool.node(node_idx);
-    // Word stores, not plain assignment: in a mixed-engine pool a slow
-    // lock-free dequeuer may still be (atomically) reading this recycled
-    // node's bytes — see lf_copy_words in queue/msg_pool.hpp.
-    lf_copy_words(&node.msg, &msg, sizeof(Message));
-    lf_copy_words(&node.span, &stamp, sizeof(SpanStamp));
-    node.next = kNullIndex;
-    explore::point(explore::Point::kQEnqueueNodeReady);
     {
+      // Counted first, filled and linked after, all under the tail lock: a
+      // consumer polling empty() sees the message coming while its node is
+      // still being filled, and a sweep holding both locks never meets a
+      // half-counted enqueue.
       RobustGuard g(tail_lock_.value);
       if (g.stolen()) repair_tail_from_head(pool);
+      // One RMW, then undo if full: producers are serialized here and
+      // consumers only decrement, so the count cannot be overtaken.
+      if (size_.fetch_add(1, std::memory_order_acq_rel) >= capacity_) {
+        size_.fetch_sub(1, std::memory_order_relaxed);
+        return false;
+      }
+      const ShmIndex node_idx = pool.allocate();
+      if (node_idx == kNullIndex) {
+        size_.fetch_sub(1, std::memory_order_relaxed);
+        return false;
+      }
+      MsgNode& node = pool.node(node_idx);
+      // Word stores, not plain assignment: in a mixed-engine pool a slow
+      // lock-free dequeuer may still be (atomically) reading this recycled
+      // node's bytes — see lf_copy_words in queue/msg_pool.hpp.
+      lf_copy_words(&node.msg, &msg, sizeof(Message));
+      lf_copy_words(&node.span, &stamp, sizeof(SpanStamp));
+      node.next = kNullIndex;
+      explore::point(explore::Point::kQEnqueueNodeReady);
       next_ref(pool.node(tail_.value))
           .store(node_idx, std::memory_order_release);
       explore::point(explore::Point::kQEnqueueLinked);
@@ -133,25 +139,21 @@ class TwoLockQueue {
     return true;
   }
 
-  /// Appends up to `n` messages with ONE tail-lock acquisition: reserves
-  /// capacity, allocates and pre-links the whole chain outside the lock,
-  /// then splices it in with the same two ordered writes as a scalar
-  /// enqueue (so the crash invariant is unchanged — tail can only lag the
-  /// last linked node). Returns how many were appended; fewer than `n`
-  /// (possibly 0) when the capacity bound or the node pool runs out. The
-  /// batch carries at most one stamp, on its first node — span fidelity
-  /// degrades to one-sample-per-batch on batched paths.
+  /// Appends up to `n` messages with ONE tail-lock acquisition: allocates
+  /// and pre-links a chain sized by the free room outside the lock, then
+  /// splices as much of it as the room under the lock allows with the same
+  /// two ordered writes as a scalar enqueue (so the crash invariant is
+  /// unchanged — tail can only lag the last linked node). Returns how many
+  /// were appended; fewer than `n` (possibly 0) when the capacity bound or
+  /// the node pool runs out. The batch carries at most one stamp, on its
+  /// first node — span fidelity degrades to one-sample-per-batch on
+  /// batched paths.
   std::uint32_t enqueue_batch(const Message* msgs, std::uint32_t n,
                               SpanStamp stamp = {}) noexcept {
     if (n == 0) return 0;
-    std::uint32_t sz = size_.load(std::memory_order_relaxed);
-    std::uint32_t want;
-    do {
-      if (sz >= capacity_) return 0;
-      want = std::min(n, capacity_ - sz);
-    } while (!size_.compare_exchange_weak(sz, sz + want,
-                                          std::memory_order_acquire,
-                                          std::memory_order_relaxed));
+    const std::uint32_t sz0 = size_.load(std::memory_order_relaxed);
+    if (sz0 >= capacity_) return 0;
+    const std::uint32_t want = std::min(n, capacity_ - sz0);
 
     NodePool& pool = *pool_;
     ShmIndex first = kNullIndex;
@@ -172,18 +174,43 @@ class TwoLockQueue {
       }
       last = idx;
     }
-    if (got < want) {
-      size_.fetch_sub(want - got, std::memory_order_release);
-    }
     if (got == 0) return 0;
+    ShmIndex spare = kNullIndex;  // chain suffix the room did not admit
     {
       RobustGuard g(tail_lock_.value);
       if (g.stolen()) repair_tail_from_head(pool);
-      next_ref(pool.node(tail_.value)).store(first, std::memory_order_release);
-      explore::point(explore::Point::kQEnqueueLinked);
-      tail_.value = last;
+      const std::uint32_t sz = size_.load(std::memory_order_relaxed);
+      const std::uint32_t room = sz >= capacity_ ? 0 : capacity_ - sz;
+      if (room < got) {
+        // Lost a race for the room (rare: the queue is near its bound).
+        // Cut the private chain before publishing any of it.
+        if (room == 0) {
+          spare = first;
+          first = kNullIndex;
+        } else {
+          last = first;
+          for (std::uint32_t i = 1; i < room; ++i) {
+            last = pool.node(last).next;
+          }
+          spare = pool.node(last).next;
+          pool.node(last).next = kNullIndex;
+        }
+        got = room;
+      }
+      if (got > 0) {
+        size_.fetch_add(got, std::memory_order_acq_rel);
+        next_ref(pool.node(tail_.value))
+            .store(first, std::memory_order_release);
+        explore::point(explore::Point::kQEnqueueLinked);
+        tail_.value = last;
+      }
     }
-    explore::point(explore::Point::kQEnqueueDone);
+    while (spare != kNullIndex) {
+      const ShmIndex next = pool.node(spare).next;
+      pool.release(spare);
+      spare = next;
+    }
+    if (got > 0) explore::point(explore::Point::kQEnqueueDone);
     return got;
   }
 
@@ -212,9 +239,9 @@ class TwoLockQueue {
       // between the advance and release(), nobody could reclaim it.
       pool.node(old_head).owner_pid = robust_self_pid();
       head_.value = next;
+      size_.fetch_sub(1, std::memory_order_acq_rel);
       explore::point(explore::Point::kQDequeueAdvanced);
     }
-    size_.fetch_sub(1, std::memory_order_release);
     pool.release(old_head);
     explore::point(explore::Point::kQDequeueDone);
     return true;
@@ -258,9 +285,9 @@ class TwoLockQueue {
       }
       if (got == 0) return 0;
       head_.value = head;  // the last dequeued node is the new dummy
+      size_.fetch_sub(got, std::memory_order_acq_rel);
       explore::point(explore::Point::kQDequeueAdvanced);
     }
-    size_.fetch_sub(got, std::memory_order_release);
     // Release the old dummy plus the first got-1 message nodes. Their next
     // links are still intact (release() may repurpose them, so read each
     // link before releasing its node); no other process can reach them.
@@ -297,7 +324,9 @@ class TwoLockQueue {
   /// Takes both locks (tail first — the process-wide ordering), repairs
   /// the tail, re-marks every node reachable from head_ (dummy included)
   /// in `mark` (capacity() entries of the node pool), and reseats size_ to
-  /// the actual element count. Returns the recounted size.
+  /// the actual element count — exact for live processes, which only move
+  /// size_ under these locks; the reseat drops what a corpse's critical
+  /// section left behind. Returns the recounted size.
   std::uint32_t mark_reachable(std::vector<char>& mark) noexcept {
     NodePool& pool = *pool_;
     RobustGuard gt(tail_lock_.value);
@@ -349,17 +378,16 @@ class TwoLockQueue {
     return n;
   }
 
-  /// TEST ONLY: performs the first half of an enqueue — reserves capacity,
-  /// allocates and links the node — then returns with the tail lock STILL
-  /// HELD and tail_ not advanced. Calling process must exit immediately;
-  /// this models a producer dying at the worst possible point of the
-  /// critical section. Returns the linked node index. noinline: inlined
+  /// TEST ONLY: performs the first half of an enqueue — allocates the node,
+  /// then under the tail lock counts and links it — and returns with the
+  /// tail lock STILL HELD and tail_ not advanced. Calling process must exit
+  /// immediately; this models a producer dying at the worst possible point
+  /// of the critical section. Returns the linked node index. noinline: inlined
   /// into a fork-child lambda, GCC's object-size pass misjudges the
   /// arena-resident queue as size 0 and flags the fetch_add
   /// (-Wstringop-overflow false positive); cold test-only code anyway.
   [[gnu::noinline]] ShmIndex crash_mid_enqueue_for_test(
       const Message& msg) noexcept {
-    size_.fetch_add(1, std::memory_order_acquire);
     NodePool& pool = *pool_;
     const ShmIndex node_idx = pool.allocate();
     if (node_idx == kNullIndex) return kNullIndex;
@@ -369,6 +397,7 @@ class TwoLockQueue {
     lf_copy_words(&node.span, &sp, sizeof(SpanStamp));
     node.next = kNullIndex;
     (void)tail_lock_.value.lock();
+    size_.fetch_add(1, std::memory_order_acq_rel);
     next_ref(pool.node(tail_.value))
         .store(node_idx, std::memory_order_release);
     // Deliberately neither advances tail_ nor unlocks.

@@ -63,9 +63,9 @@ inline bool parse_queue_engine(std::string_view s, QueueEngine* out) noexcept {
 /// Per-topology engine choice. The three topologies have genuinely
 /// different contention shapes, so they are pinned independently:
 ///   server — the shared MPSC receive endpoint (every client produces);
-///   reply  — client reply + duplex request endpoints (topologically SPSC;
-///            the SpscRing fast path still fronts whichever engine backs
-///            the overflow queue);
+///   reply  — client reply endpoints (topologically SPSC on single-server
+///            channels, where the SpscRing fast path fronts whichever
+///            engine backs the overflow queue);
 ///   shard  — pool shard receive endpoints, MPMC since PR-4's idle-steal
 ///            lets any worker consume any shard (the two-lock engine's
 ///            worst case).

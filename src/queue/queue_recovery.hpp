@@ -23,7 +23,7 @@
 // Concurrency: steps run under the structures' own locks, so the sweep is
 // safe against live producers/consumers. But two concurrent sweeps could
 // double-release the same leaked node — callers must serialize sweeps (the
-// duplex server runs them from a single recovery point).
+// channel runs them under its recovery lock).
 #pragma once
 
 #include <cstdint>

@@ -1,10 +1,10 @@
 // Single-producer / single-consumer ring buffer (Lamport queue).
 //
-// The channel topology makes every *reply* queue strictly SPSC: exactly one
-// server (thread) produces replies, and exactly one client consumes them.
-// The same holds for the duplex per-client *request* queues (one client
-// produces, one server thread consumes). Only the shared server receive
-// queue is MPSC and needs the two-lock queue. This ring is therefore the
+// A single-server channel makes every *reply* queue strictly SPSC: exactly
+// one server produces replies, and exactly one client consumes them. Only
+// the shared server receive queue is MPSC and needs the two-lock queue (pool
+// channels carry no rings: stealing makes their replies multi-producer).
+// This ring is therefore the
 // reply-direction fast path: no locks at all — one atomic index per side,
 // each written by exactly one process — with the two-lock queue kept as an
 // overflow fallback (see NativePlatform's endpoint routing).

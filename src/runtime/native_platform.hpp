@@ -51,9 +51,9 @@ enum class SemKind : std::uint8_t {
 /// platform's SemKind selects which one is used).
 ///
 /// Endpoints whose traffic is topologically single-producer/single-consumer
-/// (every reply endpoint, and the duplex per-client request endpoints) also
-/// carry a lock-free SpscRing as the fast path; `ring` stays unset on the
-/// MPSC server receive endpoint. Routing (see enqueue/dequeue below) keeps
+/// (every reply endpoint of a single-server channel) also carry a lock-free
+/// SpscRing as the fast path; `ring` stays unset on the MPSC server receive
+/// endpoint and everywhere on pool channels. Routing (see enqueue/dequeue below) keeps
 /// FIFO order across the two structures: the producer uses the ring only
 /// while the overflow queue (a MsgQueue of either engine) is empty, and
 /// the consumer always drains the ring before the overflow queue, so a
@@ -331,7 +331,6 @@ class NativePlatform {
     // bare platform minting like a client, which is what the protocol unit
     // tests exercise.
     span_adopt_ = role == obs::SlotRole::kServer ||
-                  role == obs::SlotRole::kDuplexThread ||
                   role == obs::SlotRole::kPoolWorker;
     span_pid_bits_ = 0;  // re-derive: bind may follow a fork / slot change
     span_adopted_ = SpanStamp{};

@@ -159,6 +159,7 @@ PoolWorkerResult run_pool_worker(ShmChannel& channel, Proto proto,
     while (i < got) {
       const std::uint32_t cid = reqs[i].channel;
       std::uint32_t n = 0;
+      bool handshake = false;  // the run carries a kConnect / kDisconnect
       while (i < got && reqs[i].channel == cid) {
         // Departure bookkeeping for the crash reaper (see
         // ShmChannelHeader::client_departed): record it BEFORE the reply
@@ -170,10 +171,12 @@ PoolWorkerResult run_pool_worker(ShmChannel& channel, Proto proto,
         // the pool down before the remaining clients finish).
         bool duplicate_disconnect = false;
         if (reqs[i].opcode == Op::kDisconnect) {
+          handshake = true;
           duplicate_disconnect =
               hdr.client_departed[cid].exchange(1, std::memory_order_acq_rel)
               != 0;
         } else if (reqs[i].opcode == Op::kConnect) {
+          handshake = true;
           hdr.client_departed[cid].store(0, std::memory_order_release);
         }
         out[n++] = serve_one_request(p, reqs[i++], result.server,
@@ -182,10 +185,22 @@ PoolWorkerResult run_pool_worker(ShmChannel& channel, Proto proto,
           --newly_disconnected;
         }
       }
+      NativeEndpoint& reply_ep = channel.client_endpoint(cid);
       const Status st = detail::enqueue_batch_and_wake_until(
-          p, channel.client_endpoint(cid), out, n,
-          p.time_ns() + opts.liveness_timeout_ns);
+          p, reply_ep, out, n, p.time_ns() + opts.liveness_timeout_ns);
       if (st == Status::kOk) p.counters().replies += n;
+      // Data requests from a departed seat are a corpse's leftovers. If a
+      // reaper already drained the seat, these replies would sit in its
+      // queue for good: reclaim_client marks the seat before its drain, and
+      // the enqueue above fences after publishing, so whichever of the two
+      // comes second sees the other's write. Under the recovery lock the
+      // reap has finished; a seat re-registered since belongs to a new
+      // client and keeps its queue.
+      if (!handshake &&
+          hdr.client_departed[cid].load(std::memory_order_relaxed) != 0) {
+        RobustGuard g(hdr.recovery_lock);
+        if (channel.client_pid(cid) == 0) (void)reply_ep.queue->drain();
+      }
     }
     if (newly_disconnected > 0) {
       hdr.pool_disconnected.fetch_add(newly_disconnected,
@@ -276,7 +291,7 @@ PoolWorkerResult run_pool_worker(ShmChannel& channel, Proto proto,
         // Leave-then-crash: a client that already had its kDisconnect
         // served was counted by that worker; counting the corpse again
         // would overshoot pool_disconnected and shut the pool down early.
-        if (hdr.client_departed[c].load(std::memory_order_acquire) == 0) {
+        if (!rs.departed) {
           hdr.pool_disconnected.fetch_add(1, std::memory_order_acq_rel);
         }
       }

@@ -17,10 +17,15 @@ std::uint32_t round_pow2(std::uint32_t v) {
   return p;
 }
 
+/// Metric slots: the server, one per client, one per pool worker.
+std::uint32_t obs_slot_count(const ShmChannel::Config& cfg) {
+  return 1 + cfg.max_clients + cfg.shards;
+}
+
 /// Total bytes of the observability block (header + slots + rings), with
 /// each sub-array cache-line aligned.
 std::size_t obs_block_bytes(const ShmChannel::Config& cfg) {
-  const std::uint32_t slot_count = 1 + 2 * cfg.max_clients;
+  const std::uint32_t slot_count = obs_slot_count(cfg);
   const std::uint32_t ring_cap = round_pow2(cfg.trace_ring_capacity);
   const std::size_t ring_stride =
       align_up(obs::TraceRing::bytes_for(ring_cap), kCacheLineSize);
@@ -51,8 +56,7 @@ PayloadPool::Config payload_plane_config(const ShmChannel::Config& cfg) {
 std::size_t ShmChannel::required_bytes(const Config& cfg) {
   // Header + pool header + nodes + (1 + clients) * (endpoint + queue),
   // each rounded up for alignment, plus generous slack.
-  const std::size_t queues =
-      cfg.max_clients + 1 + (cfg.duplex ? cfg.max_clients : 0) + cfg.shards;
+  const std::size_t queues = cfg.max_clients + 1 + cfg.shards;
   const std::size_t pool_nodes = queues * (cfg.queue_capacity + 2);
   std::size_t bytes = sizeof(ArenaHeader) + sizeof(ShmChannelHeader);
   bytes += sizeof(NodePool) + pool_nodes * sizeof(MsgNode);
@@ -76,8 +80,6 @@ ShmChannel ShmChannel::create(ShmRegion& region, const Config& cfg) {
                   "bad max_clients");
   ULIPC_INVARIANT(cfg.shards <= kMaxShards && cfg.shards <= cfg.max_clients,
                   "bad shard count");
-  ULIPC_INVARIANT(cfg.shards == 0 || !cfg.duplex,
-                  "pool and duplex channels are mutually exclusive");
   ShmChannel ch;
   ch.arena_ = ShmArena::format(region);
   ch.header_ = ch.arena_.construct<ShmChannelHeader>();
@@ -87,26 +89,23 @@ ShmChannel ShmChannel::create(ShmRegion& region, const Config& cfg) {
   ch.header_->barrier.init(cfg.max_clients);
 
   // One semaphore per endpoint: index 0 for the server, 1..n for client
-  // reply endpoints, n+1..2n for duplex request endpoints (or, on pool
-  // channels, n+1..n+shards for the shard receive endpoints).
-  const int sem_count = static_cast<int>(cfg.max_clients) * (cfg.duplex ? 2 : 1) +
-                        1 + static_cast<int>(cfg.shards);
+  // reply endpoints, n+1..n+shards for pool shard receive endpoints.
+  const int sem_count = static_cast<int>(cfg.max_clients + 1 + cfg.shards);
   ch.sem_set_ = SysvSemaphoreSet::create(sem_count);
   ch.header_->sysv_sem_id = ch.sem_set_.id();
   ch.owns_sysv_ = true;
 
   const std::uint32_t pool_nodes =
-      (cfg.max_clients * (cfg.duplex ? 2u : 1u) + 1 + cfg.shards) *
-      (cfg.queue_capacity + 2);
+      (cfg.max_clients + 1 + cfg.shards) * (cfg.queue_capacity + 2);
   NodePool* pool = NodePool::create(ch.arena_, pool_nodes);
   ch.header_->node_pool_offset = ch.arena_.to_offset(pool);
 
   // `with_ring` marks the endpoint's traffic as topologically SPSC (one
   // fixed producer process/thread, one fixed consumer), enabling the
-  // lock-free fast path. That holds for every client reply endpoint (the
-  // one server replies, the one owning client reads) and for the duplex
-  // request endpoints (one client writes, one server thread reads) — but
-  // NOT for the shared server receive endpoint, which all clients write.
+  // lock-free fast path. That holds for every client reply endpoint of a
+  // single-server channel (the one server replies, the one owning client
+  // reads) — but NOT for the shared server receive endpoint, which all
+  // clients write.
   auto build_endpoint = [&](std::uint32_t id, int sem_index, bool with_ring,
                             QueueEngine engine) {
     auto* ep = ch.arena_.construct<NativeEndpoint>();
@@ -132,13 +131,6 @@ ShmChannel ShmChannel::create(ShmRegion& region, const Config& cfg) {
         build_endpoint(i, static_cast<int>(i) + 1, reply_ring,
                        cfg.engines.reply);
   }
-  if (cfg.duplex) {
-    for (std::uint32_t i = 0; i < cfg.max_clients; ++i) {
-      ch.header_->client_req_ep_offset[i] = build_endpoint(
-          i, static_cast<int>(cfg.max_clients + i) + 1, /*with_ring=*/true,
-          cfg.engines.reply);
-    }
-  }
   if (cfg.shards > 0) {
     ch.header_->num_shards = cfg.shards;
     for (std::uint32_t s = 0; s < cfg.shards; ++s) {
@@ -154,7 +146,7 @@ ShmChannel ShmChannel::create(ShmRegion& region, const Config& cfg) {
   // rings plus the shared recovery ring. Internal offsets are relative to
   // the ObsHeader, so a read-only attacher only needs header_->obs_offset.
   {
-    const std::uint32_t slot_count = 1 + 2 * cfg.max_clients;
+    const std::uint32_t slot_count = obs_slot_count(cfg);
     const std::uint32_t ring_cap = round_pow2(cfg.trace_ring_capacity);
     const std::uint64_t ring_stride =
         align_up(obs::TraceRing::bytes_for(ring_cap), kCacheLineSize);
@@ -231,27 +223,27 @@ ShmChannel::ReclaimStats ShmChannel::reclaim_client(std::uint32_t i) noexcept {
   ReclaimStats stats;
   RobustGuard g(header_->recovery_lock);
   // Re-check under the lock: another recoverer may already have vacated
-  // the seat (e.g. two server threads both timing out on the same corpse).
+  // the seat (e.g. two pool workers both probing the same corpse).
   if (header_->client_peer[i].pid.load(std::memory_order_acquire) == 0) {
     return stats;
   }
 
-  // Step 1: discard traffic addressed to / queued by the dead client. Its
-  // reply queue holds answers nobody will read; its duplex request queue
-  // holds requests nobody is waiting on. Rings drain too — and the ring
-  // drain also resets the per-side index caches, so a reconnecting client
-  // reusing this seat starts from coherent indices (drain() requires both
-  // sides quiesced: the client is dead and the server has stopped serving
-  // this seat before reclaiming it).
+  // Mark the seat departed before draining it. A pool worker that replies
+  // to this seat after the drain below sees the mark and drains the reply
+  // itself; the fence here pairs with the fence that follows every
+  // producer's enqueue (Figure 4), so one side always sees the other.
+  stats.departed = header_->client_departed[i].exchange(1) != 0;
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+
+  // Step 1: discard the answers nobody will read from the dead client's
+  // reply queue. The ring drains too — and the ring drain also resets the
+  // per-side index caches, so a reconnecting client reusing this seat
+  // starts from coherent indices (drain() requires both sides quiesced:
+  // the client is dead and the server has stopped serving this seat before
+  // reclaiming it).
   stats.drained_messages += client_endpoint(i).queue->drain();
   if (SpscRing* r = client_endpoint(i).ring.get()) {
     stats.drained_messages += r->drain();
-  }
-  if (header_->client_req_ep_offset[i] != 0) {
-    stats.drained_messages += client_request_endpoint(i).queue->drain();
-    if (SpscRing* r = client_request_endpoint(i).ring.get()) {
-      stats.drained_messages += r->drain();
-    }
   }
 
   // Step 2: sweep the shared node pool for nodes the corpse leaked between
@@ -278,9 +270,6 @@ std::vector<MsgQueue*> ShmChannel::all_queues() {
   queues.push_back(server_endpoint().queue.get());
   for (std::uint32_t c = 0; c < header_->max_clients; ++c) {
     queues.push_back(client_endpoint(c).queue.get());
-    if (header_->client_req_ep_offset[c] != 0) {
-      queues.push_back(client_request_endpoint(c).queue.get());
-    }
   }
   for (std::uint32_t s = 0; s < header_->num_shards; ++s) {
     queues.push_back(shard_endpoint(s).queue.get());

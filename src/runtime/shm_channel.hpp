@@ -89,8 +89,7 @@ struct ShmChannelHeader {
   std::uint64_t node_pool_offset = 0;
 
   std::uint64_t srv_ep_offset = 0;
-  std::uint64_t client_ep_offset[kMaxClients] = {};      // reply direction
-  std::uint64_t client_req_ep_offset[kMaxClients] = {};  // duplex only
+  std::uint64_t client_ep_offset[kMaxClients] = {};  // reply direction
 
   // SysV object ids (semaphores for endpoints; message queues for the
   // kernel-mediated baseline transport). Valid process-wide on this host.
@@ -124,11 +123,13 @@ struct ShmChannelHeader {
   // termination condition, since no single worker sees all disconnects.
   std::atomic<std::uint32_t> pool_disconnected{0};
   // One flag per client seat, set when a worker serves the seat's
-  // kDisconnect and cleared again on kConnect. Lets the crash reaper tell
-  // "disconnected cleanly, then died before deregistering its peer slot"
-  // from "crashed while connected": the first kind was already counted in
-  // pool_disconnected by the worker that served the disconnect, so the
-  // reaper must reclaim the seat WITHOUT counting a second departure.
+  // kDisconnect or when reclaim_client reaps the seat, and cleared again on
+  // kConnect. Lets the crash reaper tell "disconnected cleanly, then died
+  // before deregistering its peer slot" from "crashed while connected": the
+  // first kind was already counted in pool_disconnected by the worker that
+  // served the disconnect, so the reaper must reclaim the seat WITHOUT
+  // counting a second departure. Workers also read it after replying, to
+  // catch a reply that landed in a reaped seat's queue after its drain.
   std::atomic<std::uint8_t> client_departed[kMaxClients] = {};
 };
 
@@ -140,16 +141,13 @@ class ShmChannel {
     std::uint32_t max_clients = 4;
     std::uint32_t queue_capacity = 64;
     bool create_sysv_queues = false;  // allocate the SysV baseline transport
-    bool duplex = false;  // also build per-client *request* endpoints for
-                          // the thread-per-client server architecture
-                          // ("two queues per client to implement the
-                          //  full-duplex virtual connection", paper 2.1)
     std::uint32_t trace_ring_capacity = 1024;  // records per trace ring
                                                // (rounded up to a power of 2)
     std::uint32_t shards = 0;  // > 0 builds a server-pool channel with one
-                               // receive queue per worker; mutually
-                               // exclusive with duplex (the pool reuses the
-                               // duplex obs-slot range), and <= max_clients
+                               // receive queue per worker; <= max_clients.
+                               // shards == clients with each client forced
+                               // onto its own shard is the paper's thread-
+                               // per-client architecture (paper 2.1)
     // Zero-copy payload plane: size classes 64 B .. payload_max_bytes
     // (geometric), payload_slots_per_class slots each (0 = auto-size from
     // max_clients). payload_max_bytes == 0 builds no plane at all.
@@ -181,15 +179,6 @@ class ShmChannel {
   }
   [[nodiscard]] NativeEndpoint& client_endpoint(std::uint32_t i) noexcept {
     return *arena_.from_offset<NativeEndpoint>(header_->client_ep_offset[i]);
-  }
-
-  /// Duplex channels only: the request queue into client i's server thread.
-  /// Throws InvariantError on a channel built without duplex = true.
-  [[nodiscard]] NativeEndpoint& client_request_endpoint(std::uint32_t i) {
-    ULIPC_INVARIANT(header_->client_req_ep_offset[i] != 0,
-                    "channel was not created with duplex = true");
-    return *arena_.from_offset<NativeEndpoint>(
-        header_->client_req_ep_offset[i]);
   }
   [[nodiscard]] ShmBarrier& barrier() noexcept { return header_->barrier; }
 
@@ -240,13 +229,15 @@ class ShmChannel {
   }
 
   // Metric-slot / trace-ring index convention (matches ObsHeader's doc):
-  // 0 = server, 1..n = clients, n+1..2n = duplex server threads.
+  // 0 = server, 1..n = clients, n+1..n+shards = pool workers.
   [[nodiscard]] static std::uint32_t server_obs_slot() noexcept { return 0; }
   [[nodiscard]] std::uint32_t client_obs_slot(std::uint32_t i) const noexcept {
     return 1 + i;
   }
-  [[nodiscard]] std::uint32_t duplex_obs_slot(std::uint32_t i) const noexcept {
-    return 1 + header_->max_clients + i;
+  /// Pool worker `s`'s slot (under its historical name, which external
+  /// readers such as the repository benchmark still call).
+  [[nodiscard]] std::uint32_t duplex_obs_slot(std::uint32_t s) const noexcept {
+    return 1 + header_->max_clients + s;
   }
 
   /// Claims an obs slot for the calling process/thread and points the
@@ -258,11 +249,6 @@ class ShmChannel {
   void bind_client_obs(NativePlatform& p, std::uint32_t i) noexcept {
     bind_obs_slot(p, client_obs_slot(i), obs::SlotRole::kClient);
   }
-  void bind_duplex_obs(NativePlatform& p, std::uint32_t i) noexcept {
-    bind_obs_slot(p, duplex_obs_slot(i), obs::SlotRole::kDuplexThread);
-  }
-  /// Pool workers reuse the duplex slot range (pool and duplex channels are
-  /// mutually exclusive, and shards <= max_clients keeps it in bounds).
   void bind_pool_worker_obs(NativePlatform& p, std::uint32_t s) noexcept {
     bind_obs_slot(p, duplex_obs_slot(s), obs::SlotRole::kPoolWorker);
   }
@@ -345,10 +331,12 @@ class ShmChannel {
     std::uint32_t payloads_reclaimed = 0;  // leaked payload loans swept back
     bool reaped = false;  // this call vacated the seat (false = a concurrent
                           // recoverer got there first)
+    bool departed = false;  // the seat's kDisconnect had already been
+                            // served (its departure is already counted)
   };
 
   /// Reclaims everything a crashed client left behind: drains its reply
-  /// queue (and duplex request queue), sweeps the node pool for nodes the
+  /// queue, sweeps the node pool for nodes the
   /// corpse leaked mid-operation, and vacates its seat. Serialized against
   /// concurrent reclaims by the header's recovery lock; safe to run while
   /// other clients keep trafficking the channel.

@@ -415,7 +415,7 @@ FaninResult run_waitset_fanin_server(NativePlatform& plat,
                                          disconnected);
           }
           // Bounded reply so a dead client's full reply queue cannot wedge
-          // the whole fan-in worker (same rule as run_echo_server_timed).
+          // the whole fan-in worker (same rule as the pool worker).
           (void)detail::enqueue_batch_and_wake_until(
               plat, ch->client_endpoint(cid), out, n,
               plat.time_ns() + opts.liveness_timeout_ns);

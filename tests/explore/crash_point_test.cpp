@@ -77,8 +77,8 @@ TEST_P(CrashPointTest, VictimThatNeverReachesTheMarkerReportsMissed) {
 }
 
 TEST_P(CrashPointTest, DeathBeforeLinkLeaksOnlyThePrivateNode) {
-  // SIGKILL after the node is allocated and filled but before the tail
-  // lock: the node is invisible to every queue — exactly what the global
+  // SIGKILL after the node is allocated and filled but before it is
+  // linked: the node is invisible to every queue — exactly what the global
   // sweep exists for.
   ChildProcess victim =
       run_victim_to_crash(Point::kQEnqueueNodeReady, 1, [&] {
@@ -152,9 +152,9 @@ TEST_P(CrashPointTest, NthHitArmingCrashesOnTheNthEnqueue) {
 
 TEST_P(CrashPointTest, DeathInsideHeadLockLeaksTheDetachedDummy) {
   // Pre-fill three messages, then SIGKILL the consumer right after it
-  // advances head_ (old dummy detached but not yet released, size_ not yet
-  // decremented). The next dequeuer steals the head lock and continues;
-  // the detached dummy is the one leak, healed by the sweep.
+  // advances head_ (old dummy detached but not yet released). The next
+  // dequeuer steals the head lock and continues; the detached dummy is the
+  // one leak, healed by the sweep.
   for (int i = 1; i <= 3; ++i) {
     ASSERT_TRUE(ep().queue->enqueue(Message(Op::kEcho, 0, double(i))));
   }

@@ -183,24 +183,31 @@ TEST(MetricsRegistry, CrossProcessVisibilityThroughChannel) {
 }
 
 TEST(MetricsRegistry, ObsHeaderLayoutIsSelfContained) {
-  ShmChannel::Config cfg;
-  cfg.max_clients = 2;
-  cfg.queue_capacity = 16;
-  ShmRegion region =
-      ShmRegion::create_anonymous(ShmChannel::required_bytes(cfg));
-  ShmChannel channel = ShmChannel::create(region, cfg);
+  // A plain channel (no pool workers) and a pool channel.
+  for (const std::uint32_t shards : {0u, 2u}) {
+    ShmChannel::Config cfg;
+    cfg.max_clients = 3;
+    cfg.queue_capacity = 16;
+    cfg.shards = shards;
+    ShmRegion region =
+        ShmRegion::create_anonymous(ShmChannel::required_bytes(cfg));
+    ShmChannel channel = ShmChannel::create(region, cfg);
 
-  const ObsHeader& oh = channel.obs();
-  EXPECT_EQ(oh.magic, ObsHeader::kMagic);
-  EXPECT_EQ(oh.version, ObsHeader::kVersion);
-  // server + clients + duplex threads, plus the shared recovery ring.
-  EXPECT_EQ(oh.slot_count, 1u + 2u * cfg.max_clients);
-  EXPECT_EQ(oh.ring_count(), oh.slot_count + 1u);
-  EXPECT_EQ(oh.trace_compiled != 0, kTraceCompiledIn);
-  // The stamped calibration must be usable (positive tick ratio).
-  const double ns_per_tick = std::bit_cast<double>(
-      oh.tsc_ns_per_tick_bits.load(std::memory_order_relaxed));
-  EXPECT_GT(ns_per_tick, 0.0);
+    const ObsHeader& oh = channel.obs();
+    EXPECT_EQ(oh.magic, ObsHeader::kMagic);
+    EXPECT_EQ(oh.version, ObsHeader::kVersion);
+    // server + clients + pool workers, plus the shared recovery ring.
+    EXPECT_EQ(oh.slot_count, 1u + cfg.max_clients + shards);
+    EXPECT_EQ(oh.ring_count(), oh.slot_count + 1u);
+    if (shards > 0) {
+      EXPECT_EQ(channel.duplex_obs_slot(shards - 1), oh.slot_count - 1);
+    }
+    EXPECT_EQ(oh.trace_compiled != 0, kTraceCompiledIn);
+    // The stamped calibration must be usable (positive tick ratio).
+    const double ns_per_tick = std::bit_cast<double>(
+        oh.tsc_ns_per_tick_bits.load(std::memory_order_relaxed));
+    EXPECT_GT(ns_per_tick, 0.0);
+  }
 }
 
 }  // namespace

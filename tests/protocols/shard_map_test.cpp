@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <set>
+#include <thread>
 #include <vector>
 
 namespace ulipc {
@@ -44,6 +46,32 @@ TEST(ShardMapTest, LeastLoadedSpreadsClientsEvenly) {
   for (std::uint32_t a : loads) {
     EXPECT_GE(a, 2u);
     EXPECT_LE(a, 3u);
+  }
+}
+
+// Clients connecting at the same instant must still spread evenly: a
+// place() that lost a race for the minimum re-picks instead of piling onto
+// the shard it first saw as least loaded.
+TEST(ShardMapTest, ConcurrentLeastLoadedPlacementStaysBalanced) {
+  constexpr std::uint32_t kShards = 2;
+  constexpr std::uint32_t kClients = 4;
+  for (int round = 0; round < 200; ++round) {
+    Map m;
+    m.init(kShards);
+    std::atomic<std::uint32_t> ready{0};
+    std::vector<std::thread> threads;
+    for (std::uint32_t c = 0; c < kClients; ++c) {
+      threads.emplace_back([&, c] {
+        ready.fetch_add(1);
+        while (ready.load() < kClients) std::this_thread::yield();
+        (void)m.place(c, PlacementPolicy::kLeastLoaded);
+      });
+    }
+    for (auto& t : threads) t.join();
+    for (std::uint32_t s = 0; s < kShards; ++s) {
+      ASSERT_EQ(m.shards[s].assigned.load(), kClients / kShards)
+          << "round " << round << ", shard " << s;
+    }
   }
 }
 

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <thread>
+#include <vector>
 
 #include "shm/shm_region.hpp"
 
@@ -241,6 +243,38 @@ TEST_F(TwoLockQueueTest, ThreadedBatchProducerConsumer) {
   }
   producer.join();
   EXPECT_TRUE(q->empty());
+}
+
+// A recovery sweep reseats size_ to the reachable count. Running during
+// live traffic (a pool worker's reap does), it must not erase an enqueue or
+// dequeue in flight: the count would wrap below zero once that message
+// left, and the queue would then read as full forever.
+TEST_F(TwoLockQueueTest, SweepRacingLiveTrafficKeepsTheCountExact) {
+  constexpr std::uint32_t kCapacity = 8;
+  TwoLockQueue* q = make_queue(kCapacity);
+  std::atomic<bool> done{false};
+  std::thread sweeper([&] {
+    std::vector<char> mark(pool_->capacity());
+    while (!done.load(std::memory_order_acquire)) (void)q->mark_reachable(mark);
+  });
+  int refused = 0;
+  Message burst[4];
+  Message out[4];
+  for (int i = 0; i < 100'000 && refused == 0; ++i) {
+    Message m(Op::kEcho, 0, static_cast<double>(i));
+    if (!q->enqueue(m) || !q->dequeue(&m)) ++refused;
+    for (auto& b : burst) b = m;
+    if (q->enqueue_batch(burst, 4) != 4 || q->dequeue_batch(out, 4) != 4) {
+      ++refused;
+    }
+  }
+  done.store(true, std::memory_order_release);
+  sweeper.join();
+  EXPECT_EQ(refused, 0);
+  EXPECT_EQ(q->size(), 0u);
+  for (std::uint32_t i = 0; i < kCapacity; ++i) {
+    EXPECT_TRUE(q->enqueue(Message(Op::kEcho, 0, 1.0)));
+  }
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Fault-injection suite: SIGKILL channel participants at the worst points
 // of the IPC protocols and verify the survivors recover — locks are stolen
-// and repaired, leaked nodes swept, dead clients reaped by the duplex
-// server — all within bounded time (no test sleeps anywhere near the ctest
-// timeout; liveness timeouts are tens of milliseconds).
+// and repaired, leaked nodes swept, dead clients reaped by a thread-per-
+// client server pool — all within bounded time (no test sleeps anywhere
+// near the ctest timeout; liveness timeouts are tens of milliseconds).
 #include <signal.h>
 #include <unistd.h>
 
@@ -11,12 +11,13 @@
 #include <functional>
 #include <optional>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "protocols/bsw.hpp"
 #include "queue/queue_recovery.hpp"
-#include "runtime/duplex_server.hpp"
+#include "runtime/server_pool.hpp"
 #include "shm/process.hpp"
 #include "shm/shm_region.hpp"
 
@@ -25,24 +26,48 @@ namespace {
 
 constexpr std::int64_t kLivenessTimeoutNs = 50'000'000;  // 50 ms
 
-/// Cross-process scratch the duplex tests use to ship results and to
+/// Cross-process scratch the pool tests use to ship results and to
 /// sequence the kill (the victim signals "ready to die" through it).
 struct CrashOut {
   std::atomic<std::uint32_t> victim_ready{0};
   std::uint64_t echo_messages = 0;
   std::uint32_t crashed_clients = 0;
-  std::uint32_t crashed_id = 0;
-  std::uint32_t drained = 0;
 };
+
+/// The client seats reaped on `channel`, oldest first, read back from the
+/// shared recovery ring: reclaim_client() emits one kRecovery event per
+/// reap, tagged with the seat.
+std::vector<std::uint32_t> reaped_seats(ShmChannel& channel) {
+  obs::ObsHeader& oh = channel.obs();
+  const auto* ring = static_cast<const obs::TraceRing*>(
+      oh.ring_blob(oh.slot_count));
+  std::vector<std::uint32_t> seats;
+  for (const obs::TraceRecordView& rec : ring->read_all()) {
+    if (rec.event == obs::TraceEvent::kRecovery) seats.push_back(rec.slot);
+  }
+  return seats;
+}
+
+/// The thread-per-client server: a pool with one worker per shard, every
+/// client forced onto its shard by the caller, stealing off.
+ServerPoolResult run_per_client_pool(ShmChannel& channel,
+                                     std::uint32_t clients) {
+  ServerPoolOptions opts;
+  opts.expected_clients = clients;
+  opts.liveness_timeout_ns = kLivenessTimeoutNs;
+  opts.steal_batch = 0;
+  return run_server_pool(channel, Bsw<NativePlatform>(), opts);
+}
 
 class CrashRecoveryTest : public ::testing::Test {
  protected:
-  void build(std::uint32_t clients, bool duplex,
+  /// `shards` > 0 builds a pool channel (one worker per shard).
+  void build(std::uint32_t clients, std::uint32_t shards,
              std::optional<QueueEngine> pin_engine = std::nullopt) {
     ShmChannel::Config cfg;
     cfg.max_clients = clients;
     cfg.queue_capacity = 32;
-    cfg.duplex = duplex;
+    cfg.shards = shards;
     if (pin_engine) {
       // Lock-steal tests assert two-lock-specific recovery mechanics and
       // must not follow a CI-wide ULIPC_QUEUE_ENGINE pin; the lock-free
@@ -78,7 +103,7 @@ class CrashRecoveryTest : public ::testing::Test {
 // tail lock held and tail_ lagging. The next enqueuer must steal the lock,
 // repair the tail from head, and no message may be lost or duplicated.
 TEST_F(CrashRecoveryTest, TailStealRepairsHalfFinishedEnqueue) {
-  build(1, /*duplex=*/false, QueueEngine::kTwoLock);
+  build(1, /*shards=*/0, QueueEngine::kTwoLock);
   MsgQueue& q = *channel_->server_endpoint().queue;
   const std::uint32_t free0 = channel_->node_pool().free_count();
 
@@ -113,7 +138,7 @@ TEST_F(CrashRecoveryTest, TailStealRepairsHalfFinishedEnqueue) {
 // A process dying between NodePool::allocate() and the queue link leaks a
 // node invisible to every queue. reclaim_client() must sweep it back.
 TEST_F(CrashRecoveryTest, LeakedNodeOfDeadClientIsSwept) {
-  build(1, /*duplex=*/false);
+  build(1, /*shards=*/0);
   const std::uint32_t free0 = channel_->node_pool().free_count();
 
   ChildProcess victim = ChildProcess::spawn([&] {
@@ -133,7 +158,7 @@ TEST_F(CrashRecoveryTest, LeakedNodeOfDeadClientIsSwept) {
 // The sweep must NOT reclaim a node whose owner is alive — a live process
 // may be microseconds away from linking it into a queue.
 TEST_F(CrashRecoveryTest, SweepSparesNodesOfLiveOwners) {
-  build(1, /*duplex=*/false);
+  build(1, /*shards=*/0);
   NodePool& pool = channel_->node_pool();
   const ShmIndex mine = pool.allocate();  // in flight, owner = this process
   ASSERT_NE(mine, kNullIndex);
@@ -150,12 +175,14 @@ TEST_F(CrashRecoveryTest, SweepSparesNodesOfLiveOwners) {
   pool.release(mine);
 }
 
-/// Shared duplex-crash rig: two clients, client 0 is the victim (runs
-/// `victim_body` after connecting and is then SIGKILLed), client 1 runs a
-/// full clean workload. The server runs with a 50 ms liveness timeout and
-/// must reap exactly client 0 and end with every pool node recovered.
+/// Shared client-crash rig: two clients on a two-shard pool channel. Client
+/// 0 is the victim on shard 0 (runs `victim_body` after connecting and is
+/// then SIGKILLed); client 1 runs a full clean workload on `clean_shard`.
+/// The pool runs with a 50 ms liveness timeout and must reap exactly seat 0
+/// and end with every pool node recovered.
 template <typename VictimBody>
-void run_duplex_crash(ShmChannel& channel, CrashOut* out,
+void run_client_crash(ShmChannel& channel, CrashOut* out,
+                      std::uint32_t clean_shard,
                       std::uint64_t clean_messages, VictimBody&& victim_body,
                       bool kill_after_ready,
                       const std::function<void()>& await_ready,
@@ -163,42 +190,36 @@ void run_duplex_crash(ShmChannel& channel, CrashOut* out,
   const std::uint32_t free0 = channel.node_pool().free_count();
 
   ChildProcess server = ChildProcess::spawn([&] {
-    DuplexServerOptions opts;
-    opts.liveness_timeout_ns = kLivenessTimeoutNs;
-    const DuplexServerResult r = run_duplex_server(
-        channel, Bsw<NativePlatform>(), 2, NativePlatform::Config{}, opts);
+    const ServerPoolResult r = run_per_client_pool(channel, 2);
     out->echo_messages = r.echo_messages;
     out->crashed_clients = r.crashed_clients;
-    if (!r.crash_events.empty()) {
-      out->crashed_id = r.crash_events.front().client_id;
-      out->drained = r.crash_events.front().drained_messages;
-    }
     return r.crashed_clients == 1 ? 0 : 1;
   });
 
   ChildProcess victim = ChildProcess::spawn([&] {
     NativePlatform plat;
     Bsw<NativePlatform> proto;
-    NativeEndpoint& req = channel.client_request_endpoint(0);
-    NativeEndpoint& mine = channel.client_endpoint(0);
-    client_connect(plat, proto, req, mine, 0);
-    victim_body(plat, proto, req, mine);
+    pool_client_connect(plat, proto, channel, 0, PlacementPolicy::kLeastLoaded,
+                        /*forced_shard=*/0);
+    victim_body(plat, proto, channel.shard_endpoint(0),
+                channel.client_endpoint(0));
     return 0;
   });
   channel.register_client_pid(0, static_cast<std::uint32_t>(victim.pid()));
 
   ChildProcess clean = ChildProcess::spawn([&] {
+    // Registers itself: a parent-side registration could land after this
+    // client already disconnected and exited, seating a corpse.
+    channel.register_client(1);
     NativePlatform plat;
     Bsw<NativePlatform> proto;
-    NativeEndpoint& req = channel.client_request_endpoint(1);
-    NativeEndpoint& mine = channel.client_endpoint(1);
-    client_connect(plat, proto, req, mine, 1);
+    pool_client_connect(plat, proto, channel, 1, PlacementPolicy::kLeastLoaded,
+                        clean_shard);
     const std::uint64_t ok =
-        client_echo_loop(plat, proto, req, mine, 1, clean_messages);
-    client_disconnect(plat, proto, req, mine, 1);
+        pool_client_echo_loop(plat, proto, channel, 1, clean_messages);
+    pool_client_disconnect(plat, proto, channel, 1);
     return ok == clean_messages ? 0 : 1;
   });
-  channel.register_client_pid(1, static_cast<std::uint32_t>(clean.pid()));
 
   if (kill_after_ready) {
     await_ready();
@@ -209,10 +230,10 @@ void run_duplex_crash(ShmChannel& channel, CrashOut* out,
   }
 
   EXPECT_EQ(clean.join(), 0);
-  EXPECT_EQ(server.join(), 0) << "server failed to reap the dead client";
+  EXPECT_EQ(server.join(), 0) << "pool failed to reap the dead client";
 
   EXPECT_EQ(out->crashed_clients, 1u);
-  EXPECT_EQ(out->crashed_id, 0u);
+  EXPECT_EQ(reaped_seats(channel), std::vector<std::uint32_t>{0u});
   EXPECT_GE(out->echo_messages, min_echoes);
   // Count free nodes only after every participant has joined: a client
   // releases its final reply node after the server has already finished,
@@ -222,12 +243,12 @@ void run_duplex_crash(ShmChannel& channel, CrashOut* out,
 }
 
 // Victim killed while ASLEEP: it finishes a burst of echoes, parks in
-// pause(), and is SIGKILLed. The server thread serving it is blocked in a
-// timed receive; it must time out, probe, and reap.
+// pause(), and is SIGKILLed. The worker serving it is blocked in a timed
+// receive; it must time out, probe, and reap.
 TEST_F(CrashRecoveryTest, ServerReapsClientKilledWhileAsleep) {
-  build(2, /*duplex=*/true);
-  run_duplex_crash(
-      *channel_, out_, /*clean_messages=*/500,
+  build(2, /*shards=*/2);
+  run_client_crash(
+      *channel_, out_, /*clean_shard=*/1, /*clean_messages=*/500,
       [&](NativePlatform& plat, Bsw<NativePlatform>& proto,
           NativeEndpoint& req, NativeEndpoint& mine) {
         client_echo_loop(plat, proto, req, mine, 0, 100);
@@ -242,11 +263,13 @@ TEST_F(CrashRecoveryTest, ServerReapsClientKilledWhileAsleep) {
 // queue, after linking the node but before advancing the tail, still
 // holding the tail lock. The linked request is either served (the link is
 // the commit point) or drained during the reap — never stranded — and
-// recovery must steal + repair the abandoned lock.
+// recovery must steal + repair the abandoned lock. The clean client shares
+// the victim's shard, so its next request enqueues behind the corpse's
+// tail lock.
 TEST_F(CrashRecoveryTest, ServerReapsClientKilledMidCriticalSection) {
-  build(2, /*duplex=*/true, QueueEngine::kTwoLock);
-  run_duplex_crash(
-      *channel_, out_, /*clean_messages=*/500,
+  build(2, /*shards=*/2, QueueEngine::kTwoLock);
+  run_client_crash(
+      *channel_, out_, /*clean_shard=*/0, /*clean_messages=*/500,
       [&](NativePlatform&, Bsw<NativePlatform>&, NativeEndpoint& req,
           NativeEndpoint&) {
         req.queue->crash_mid_enqueue_for_test(Message(Op::kEcho, 0, 7.0));
@@ -254,7 +277,7 @@ TEST_F(CrashRecoveryTest, ServerReapsClientKilledMidCriticalSection) {
       },
       /*kill_after_ready=*/false, [] {},
       /*min_echoes=*/500);
-  EXPECT_EQ(channel_->client_request_endpoint(0).queue->two_lock().tail_lock()
+  EXPECT_EQ(channel_->shard_endpoint(0).queue->two_lock().tail_lock()
                 .steal_count(),
             1u)
       << "recovery should have stolen the corpse's tail lock";
@@ -262,13 +285,13 @@ TEST_F(CrashRecoveryTest, ServerReapsClientKilledMidCriticalSection) {
 
 // Victim killed MID-SEND at an arbitrary instruction: it hammers echoes in
 // an unbounded loop and is SIGKILLed after ~25 ms, landing wherever the
-// scheduler put it (enqueueing, waking the server, sleeping on its reply
-// semaphore, ...). Whatever the interleaving, the server must reap it and
-// the pool must end whole.
+// scheduler put it (enqueueing, waking the worker, sleeping on its reply
+// semaphore, ...). Whatever the interleaving, the pool must reap it and
+// the node pool must end whole.
 TEST_F(CrashRecoveryTest, ServerReapsClientKilledMidSend) {
-  build(2, /*duplex=*/true);
-  run_duplex_crash(
-      *channel_, out_, /*clean_messages=*/500,
+  build(2, /*shards=*/2);
+  run_client_crash(
+      *channel_, out_, /*clean_shard=*/1, /*clean_messages=*/500,
       [&](NativePlatform& plat, Bsw<NativePlatform>& proto,
           NativeEndpoint& req, NativeEndpoint& mine) {
         out_->victim_ready.store(1, std::memory_order_release);
@@ -286,17 +309,52 @@ TEST_F(CrashRecoveryTest, ServerReapsClientKilledMidSend) {
       /*min_echoes=*/500);
 }
 
+// A corpse's request can still sit in its shard when a worker reaps the
+// seat; whoever serves it afterwards must not strand the reply in the
+// reaped seat's queue, or its node never returns to the pool.
+TEST_F(CrashRecoveryTest, ReplyServedAfterReapIsDrained) {
+  build(1, /*shards=*/1);
+  const std::uint32_t free0 = channel_->node_pool().free_count();
+  ChildProcess victim = ChildProcess::spawn([] { return 0; });
+  channel_->register_client_pid(0, static_cast<std::uint32_t>(victim.pid()));
+  ASSERT_EQ(victim.join(), 0);
+  ASSERT_TRUE(channel_->shard_endpoint(0).queue->enqueue(
+      Message(Op::kEcho, 0, 1.0)));
+  ASSERT_TRUE(channel_->reclaim_client(0).reaped);
+
+  // Nobody disconnects, so the run ends on the stop flag, raised once the
+  // worker has taken the request (it serves it before it next checks).
+  std::atomic<std::uint32_t> stop{0};
+  std::thread stopper([&] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!channel_->shard_endpoint(0).queue->empty() &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    stop.store(1, std::memory_order_release);
+  });
+  ServerPoolOptions opts;
+  opts.expected_clients = 1;
+  opts.liveness_timeout_ns = 5'000'000;
+  opts.stop_flag = &stop;
+  const ServerPoolResult r =
+      run_server_pool(*channel_, Bsw<NativePlatform>(), opts);
+  stopper.join();
+
+  EXPECT_EQ(r.echo_messages, 1u) << "the corpse's request is still served";
+  EXPECT_TRUE(channel_->client_endpoint(0).queue->empty());
+  EXPECT_EQ(channel_->node_pool().free_count(), free0);
+}
+
 // Liveness timeouts must not misfire on healthy-but-slow clients: a client
 // that stalls longer than the timeout (without dying) still completes.
 TEST_F(CrashRecoveryTest, SlowLiveClientIsNotReaped) {
-  build(2, /*duplex=*/true);
+  build(2, /*shards=*/2);
   const std::uint32_t free0 = channel_->node_pool().free_count();
 
   ChildProcess server = ChildProcess::spawn([&] {
-    DuplexServerOptions opts;
-    opts.liveness_timeout_ns = kLivenessTimeoutNs;
-    const DuplexServerResult r = run_duplex_server(
-        *channel_, Bsw<NativePlatform>(), 2, NativePlatform::Config{}, opts);
+    const ServerPoolResult r = run_per_client_pool(*channel_, 2);
     out_->crashed_clients = r.crashed_clients;
     out_->echo_messages = r.echo_messages;
     return r.crashed_clients == 0 ? 0 : 1;
@@ -305,27 +363,26 @@ TEST_F(CrashRecoveryTest, SlowLiveClientIsNotReaped) {
   std::vector<ChildProcess> clients;
   for (std::uint32_t i = 0; i < 2; ++i) {
     clients.push_back(ChildProcess::spawn([&, i] {
+      channel_->register_client(i);
       NativePlatform plat;
       Bsw<NativePlatform> proto;
-      NativeEndpoint& req = channel_->client_request_endpoint(i);
-      NativeEndpoint& mine = channel_->client_endpoint(i);
-      client_connect(plat, proto, req, mine, i);
-      client_echo_loop(plat, proto, req, mine, i, 50);
-      // Stall for 4x the server's liveness timeout, then resume: the
-      // server probes kill(pid, 0), finds us alive, and keeps waiting.
+      pool_client_connect(plat, proto, *channel_, i,
+                          PlacementPolicy::kLeastLoaded, /*forced_shard=*/i);
+      pool_client_echo_loop(plat, proto, *channel_, i, 50);
+      // Stall for 4x the pool's liveness timeout, then resume: the workers
+      // probe kill(pid, 0), find us alive, and keep waiting.
       std::this_thread::sleep_for(std::chrono::milliseconds(200));
       const std::uint64_t ok =
-          client_echo_loop(plat, proto, req, mine, i, 50);
-      client_disconnect(plat, proto, req, mine, i);
+          pool_client_echo_loop(plat, proto, *channel_, i, 50);
+      pool_client_disconnect(plat, proto, *channel_, i);
       return ok == 50 ? 0 : 1;
     }));
-    channel_->register_client_pid(
-        i, static_cast<std::uint32_t>(clients.back().pid()));
   }
 
   for (auto& c : clients) EXPECT_EQ(c.join(), 0);
-  EXPECT_EQ(server.join(), 0) << "server reaped a live client";
+  EXPECT_EQ(server.join(), 0) << "pool reaped a live client";
   EXPECT_EQ(out_->crashed_clients, 0u);
+  EXPECT_TRUE(reaped_seats(*channel_).empty());
   EXPECT_EQ(out_->echo_messages, 200u);
   // Counted after all joins — a server-side count would race with the
   // clients releasing their final disconnect-reply nodes.

@@ -43,15 +43,6 @@ TEST_F(ServerPoolTest, PoolChannelLayout) {
   EXPECT_EQ(channel_->client_endpoint(0).ring.get(), nullptr);
 }
 
-TEST_F(ServerPoolTest, PoolAndDuplexAreMutuallyExclusive) {
-  ShmChannel::Config cfg;
-  cfg.max_clients = 2;
-  cfg.shards = 2;
-  cfg.duplex = true;
-  ShmRegion region = ShmRegion::create_anonymous(1 << 20);
-  EXPECT_THROW((void)ShmChannel::create(region, cfg), InvariantError);
-}
-
 // Forks `clients` echo clients against the pool and runs the worker threads
 // in-process so the test can assert on the aggregate result directly.
 template <typename Proto>

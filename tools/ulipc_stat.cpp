@@ -226,7 +226,7 @@ struct ChannelView {
 };
 
 /// Messages this participant has moved: sends for clients, receives for a
-/// server — max covers both (and duplex threads, which do both).
+/// server or pool worker — max covers both.
 std::uint64_t slot_messages(const ProtocolCounters& c) {
   return std::max(c.sends, c.receives);
 }
