@@ -35,7 +35,7 @@ namespace ulipc::explore {
 /// Every injection point in the native stack. Names group by layer:
 /// kQ* = TwoLockQueue, kRing* = SpscRing, kProt* = detail.hpp C.1-C.5 and
 /// the producer enqueue/wake edge, kSweep* = queue_recovery.hpp,
-/// kPool* = server_pool.hpp reap ordering.
+/// kPool* = server_pool.hpp reap ordering, kNode* = msg_pool.hpp chain ops.
 enum class Point : std::int32_t {
   kNone = 0,
   // TwoLockQueue
@@ -93,6 +93,15 @@ enum class Point : std::int32_t {
   kWsUngate,        // aggregate wait returned via a doorbell
   kWsTimedOut,      // aggregate wait returned via deadline expiry
   kWsSpurious,      // ungated but no member ready (stale doorbell)
+  // Node pool chain ops (queue/msg_pool.hpp). Crash-only markers: they sit
+  // inside the pool lock every scheduled thread contends, so they fire an
+  // armed crash but never park a thread (see crash_point()).
+  kNodeAllocStamped,    // one more node owner-stamped, still free-listed
+  kNodeAllocDetached,   // free_head_ past the chain, its tail link uncut
+  kNodeAllocCut,        // chain cut, free_count_ not yet updated
+  kNodeReleaseTagged,   // lf_next tag bumped, node not yet free-listed
+  kNodeReleaseLinked,   // node is free_head_, owner stamp not yet cleared
+  kNodeReleaseSpliced,  // whole run free-listed, free_count_ not yet updated
   kCount,
 };
 
@@ -145,6 +154,12 @@ constexpr const char* point_name(Point p) noexcept {
     case Point::kWsUngate: return "ws_ungate";
     case Point::kWsTimedOut: return "ws_timed_out";
     case Point::kWsSpurious: return "ws_spurious";
+    case Point::kNodeAllocStamped: return "node_alloc_stamped";
+    case Point::kNodeAllocDetached: return "node_alloc_detached";
+    case Point::kNodeAllocCut: return "node_alloc_cut";
+    case Point::kNodeReleaseTagged: return "node_release_tagged";
+    case Point::kNodeReleaseLinked: return "node_release_linked";
+    case Point::kNodeReleaseSpliced: return "node_release_spliced";
     case Point::kCount: return "count";
   }
   return "?";
@@ -216,6 +231,12 @@ inline void point(Point p) noexcept {
   if (internal::t_hook != nullptr) internal::t_hook->on_point(p);
 }
 
+/// A marker that only honours an armed crash trigger and never reaches the
+/// thread hook. For points inside a lock that every scheduled thread
+/// contends (the node pool's free-list lock): parking there would livelock
+/// the controller (see controller.hpp's known constraint).
+inline void crash_point(Point p) noexcept { internal::maybe_crash(p); }
+
 inline void about_to_block(Point p) noexcept {
   internal::maybe_crash(p);
   if (internal::t_hook != nullptr) internal::t_hook->on_block(p);
@@ -230,13 +251,14 @@ inline void resumed() noexcept {
 constexpr bool compiled_in() noexcept { return false; }
 
 constexpr void point(Point) noexcept {}
+constexpr void crash_point(Point) noexcept {}
 constexpr void about_to_block(Point) noexcept {}
 constexpr void resumed() noexcept {}
 
 // The markers must be constant-expression no-ops in default builds: any
 // accidental side effect (and therefore any codegen) fails to compile here.
-static_assert((point(Point::kNone), about_to_block(Point::kNone), resumed(),
-               true),
+static_assert((point(Point::kNone), crash_point(Point::kNone),
+               about_to_block(Point::kNone), resumed(), true),
               "explore markers must be no-ops when ULIPC_EXPLORE is off");
 
 #endif  // ULIPC_EXPLORE_ENABLED

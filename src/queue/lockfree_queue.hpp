@@ -124,22 +124,22 @@ class LockFreeQueue {
     NodePool& pool = *pool_;
     ShmIndex first = kNullIndex;
     ShmIndex last = kNullIndex;
-    std::uint32_t got = 0;
-    for (; got < want; ++got) {
-      const ShmIndex idx = pool.allocate();
-      if (idx == kNullIndex) break;  // pool exhausted: splice what we have
-      fill_node(pool, idx, msgs[got], got == 0 ? stamp : SpanStamp{});
-      if (first == kNullIndex) {
-        first = idx;
-      } else {
+    const std::uint32_t got = pool.allocate_chain(want, &first, &last);
+    // One pool-lock pass for the whole chain; re-link it through lf_next.
+    ShmIndex idx = first;
+    for (std::uint32_t i = 0; i < got; ++i) {
+      const ShmIndex next = pool.node(idx).next;
+      pool.node(idx).next = kNullIndex;  // fill_node's contract
+      fill_node(pool, idx, msgs[i], i == 0 ? stamp : SpanStamp{});
+      if (i + 1 < got) {
         // Private chain link: tag-bump like a public link so a stale CAS
         // from this node's previous life keeps failing.
         const std::uint64_t lf =
-            pool.lf_next(last).load(std::memory_order_relaxed);
-        pool.lf_next(last).store(lf_pack(lf_tag(lf) + 1, idx),
-                                 std::memory_order_release);
+            pool.lf_next(idx).load(std::memory_order_relaxed);
+        pool.lf_next(idx).store(lf_pack(lf_tag(lf) + 1, next),
+                                std::memory_order_release);
       }
-      last = idx;
+      idx = next;
     }
     if (got < want) size_.fetch_sub(want - got, std::memory_order_release);
     if (got == 0) return 0;
@@ -328,7 +328,8 @@ class LockFreeQueue {
     MsgNode& node = pool.node(idx);
     lf_copy_words(&node.msg, &msg, sizeof(Message));
     lf_copy_words(&node.span, &stamp, sizeof(SpanStamp));
-    // node.next (free-list link) was already nulled by allocate();
+    // node.next (free-list link) was already nulled by allocate() (or by
+    // enqueue_batch's chain walk);
     // lf_next keeps its {tag, null} from release() — never reset the tag.
   }
 

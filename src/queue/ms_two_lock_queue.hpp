@@ -20,10 +20,12 @@
 //    locks sees it exact for every live process and can reseat it to the
 //    reachable count without erasing an in-flight operation;
 //  * batched variants (enqueue_batch/dequeue_batch) amortize one lock
-//    acquisition over a whole burst: the enqueuer pre-links the node chain
+//    acquisition over a whole burst: the enqueuer fills its node chain
 //    outside the lock and splices it with two writes, the dequeuer walks
 //    the list once under the head lock and releases the detached nodes
-//    after dropping it;
+//    after dropping it. Each side's nodes move through the pool as one
+//    chain (NodePool::allocate_chain / release_chain), so a batch also
+//    costs one pool-lock pass, not one per node;
 //  * the empty<->nonempty hand-off is the one point where the two critical
 //    sections touch without a common lock: the enqueuer link-publishes
 //    old_tail->next under the TAIL lock while a dequeuer reads it under the
@@ -139,8 +141,9 @@ class TwoLockQueue {
     return true;
   }
 
-  /// Appends up to `n` messages with ONE tail-lock acquisition: allocates
-  /// and pre-links a chain sized by the free room outside the lock, then
+  /// Appends up to `n` messages with ONE tail-lock acquisition and ONE
+  /// pool-lock pass: takes a chain sized by the free room from the pool
+  /// (already linked — allocate_chain), fills it outside the lock, then
   /// splices as much of it as the room under the lock allows with the same
   /// two ordered writes as a scalar enqueue (so the crash invariant is
   /// unchanged — tail can only lag the last linked node). Returns how many
@@ -158,24 +161,18 @@ class TwoLockQueue {
     NodePool& pool = *pool_;
     ShmIndex first = kNullIndex;
     ShmIndex last = kNullIndex;
-    std::uint32_t got = 0;
-    for (; got < want; ++got) {
-      const ShmIndex idx = pool.allocate();
-      if (idx == kNullIndex) break;  // pool exhausted: splice what we have
+    std::uint32_t got = pool.allocate_chain(want, &first, &last);
+    if (got == 0) return 0;  // pool exhausted
+    ShmIndex idx = first;
+    for (std::uint32_t i = 0; i < got; ++i) {
       MsgNode& node = pool.node(idx);
-      lf_copy_words(&node.msg, &msgs[got], sizeof(Message));
-      const SpanStamp sp = got == 0 ? stamp : SpanStamp{};
+      lf_copy_words(&node.msg, &msgs[i], sizeof(Message));
+      const SpanStamp sp = i == 0 ? stamp : SpanStamp{};
       lf_copy_words(&node.span, &sp, sizeof(SpanStamp));
-      node.next = kNullIndex;
-      if (first == kNullIndex) {
-        first = idx;
-      } else {
-        pool.node(last).next = idx;
-      }
-      last = idx;
+      idx = node.next;
     }
-    if (got == 0) return 0;
     ShmIndex spare = kNullIndex;  // chain suffix the room did not admit
+    std::uint32_t spare_n = 0;
     {
       RobustGuard g(tail_lock_.value);
       if (g.stolen()) repair_tail_from_head(pool);
@@ -184,9 +181,9 @@ class TwoLockQueue {
       if (room < got) {
         // Lost a race for the room (rare: the queue is near its bound).
         // Cut the private chain before publishing any of it.
+        spare_n = got - room;
         if (room == 0) {
           spare = first;
-          first = kNullIndex;
         } else {
           last = first;
           for (std::uint32_t i = 1; i < room; ++i) {
@@ -205,11 +202,7 @@ class TwoLockQueue {
         tail_.value = last;
       }
     }
-    while (spare != kNullIndex) {
-      const ShmIndex next = pool.node(spare).next;
-      pool.release(spare);
-      spare = next;
-    }
+    pool.release_chain(spare, spare_n);
     if (got > 0) explore::point(explore::Point::kQEnqueueDone);
     return got;
   }
@@ -251,9 +244,9 @@ class TwoLockQueue {
   /// critical section stays a single head_ assignment (after copying the
   /// messages out), so the crash invariant matches scalar dequeue. The
   /// detached nodes — unreachable once head_ advances — are released after
-  /// the lock is dropped. Returns how many were removed (0 when empty).
-  /// When `stamp` is non-null it receives the LAST traced stamp in the
-  /// batch (id 0 if none was traced).
+  /// the lock is dropped, with one release_chain. Returns how many were
+  /// removed (0 when empty). When `stamp` is non-null it receives the LAST
+  /// traced stamp in the batch (id 0 if none was traced).
   std::uint32_t dequeue_batch(Message* out, std::uint32_t max,
                               SpanStamp* stamp = nullptr) noexcept {
     if (max == 0) return 0;
@@ -288,14 +281,10 @@ class TwoLockQueue {
       size_.fetch_sub(got, std::memory_order_acq_rel);
       explore::point(explore::Point::kQDequeueAdvanced);
     }
-    // Release the old dummy plus the first got-1 message nodes. Their next
-    // links are still intact (release() may repurpose them, so read each
-    // link before releasing its node); no other process can reach them.
-    for (std::uint32_t i = 0; i < got; ++i) {
-      const ShmIndex next = pool.node(chain).next;
-      pool.release(chain);
-      chain = next;
-    }
+    // Release the old dummy plus the first got-1 message nodes in one pool
+    // pass: their next links still form the run, every node carries our
+    // stamp, and no other process can reach them.
+    pool.release_chain(chain, got);
     explore::point(explore::Point::kQDequeueDone);
     return got;
   }
@@ -369,12 +358,15 @@ class TwoLockQueue {
   }
 
   /// Drains every message currently in the queue (discarding them),
-  /// releasing their nodes back to the pool. Used when reclaiming a dead
-  /// peer's queues. Returns the number of messages discarded.
+  /// releasing their nodes back to the pool one batch at a time. Used when
+  /// reclaiming a dead peer's queues. Returns the number of messages
+  /// discarded.
   std::uint32_t drain() noexcept {
-    Message scratch;
+    Message scratch[kDrainBatch];
     std::uint32_t n = 0;
-    while (dequeue(&scratch)) ++n;
+    while (const std::uint32_t got = dequeue_batch(scratch, kDrainBatch)) {
+      n += got;
+    }
     return n;
   }
 
@@ -405,6 +397,8 @@ class TwoLockQueue {
   }
 
  private:
+  static constexpr std::uint32_t kDrainBatch = 32;
+
   /// Atomic view of a node's next link for the enqueue-side publication and
   /// the dequeue-side reads that may race with it (see the header comment).
   static std::atomic_ref<ShmIndex> next_ref(MsgNode& n) noexcept {

@@ -101,27 +101,61 @@ TEST(MetricSlot, BindBumpsGenerationAndZeroes) {
 // successful snapshot: within one generation the counter series is
 // monotonic (a torn read across a reset would show generation g with
 // counters from generation g-1 — i.e. a value DROP at equal generation).
+//
+// The two sides take turns through a handshake: the writer finishes its
+// 64 adds and publishes the generation as `settled`; the reader waits for
+// that, announces an attempt, and copies while the writer's one reset for
+// that attempt runs. Every attempt still races a reset, but a reset —
+// zeroing every histogram, slower than the reader's copy on parallel
+// cores — can no longer land inside every retry and starve the reader.
+// The handshake also pins what a coherent copy of the settled generation
+// must hold (all 64 adds, happens-before the attempt), so a copy mixing
+// that generation's number with a reset's zeroes reads as torn.
 TEST(MetricSlot, SeqlockTortureKeepsSnapshotsCoherent) {
   MetricSlot slot{};
   slot.bind(SlotRole::kServer, 1);
   std::atomic<bool> stop{false};
+  std::atomic<std::uint32_t> settled{0};
+  std::atomic<std::uint64_t> attempts{0};
 
   std::thread writer([&] {
+    std::uint64_t seen = 0;
     while (!stop.load(std::memory_order_relaxed)) {
       for (int i = 0; i < 64; ++i) {
         ++slot.counters.sends;
         slot.hist(HistKind::kRoundTripNs).record(1000 + i);
       }
+      settled.store(slot.generation.load(std::memory_order_relaxed),
+                    std::memory_order_release);
+      std::uint64_t now = attempts.load(std::memory_order_acquire);
+      while (now == seen && !stop.load(std::memory_order_relaxed)) {
+        now = attempts.load(std::memory_order_acquire);
+      }
+      seen = now;
       slot.reset_series();
     }
   });
+  // A failed ASSERT returns early: stop and join the writer on every path.
+  struct JoinWriter {
+    std::atomic<bool>& stop;
+    std::thread& writer;
+    ~JoinWriter() {
+      stop.store(true, std::memory_order_relaxed);
+      writer.join();
+    }
+  } join_writer{stop, writer};
 
   std::uint32_t prev_gen = 0;
   std::uint64_t prev_sends = 0;
   std::uint64_t coherent = 0;
+  std::uint32_t last_settled = 0;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
   while (std::chrono::steady_clock::now() < deadline) {
+    const std::uint32_t g = settled.load(std::memory_order_acquire);
+    if (g == last_settled) continue;  // writer still adding
+    last_settled = g;
+    attempts.fetch_add(1, std::memory_order_release);
     SlotSnapshot s;
     if (!slot.read_snapshot(&s)) continue;  // writer kept resetting; retry
     ++coherent;
@@ -131,11 +165,15 @@ TEST(MetricSlot, SeqlockTortureKeepsSnapshotsCoherent) {
           << "counter dropped inside one generation: torn across a reset";
     }
     ASSERT_LE(s.counters.sends, 64u) << "counters from a stale generation";
+    if (s.generation == g) {
+      ASSERT_EQ(s.counters.sends, 64u)
+          << "settled generation with a reset's zeroes: torn";
+      ASSERT_EQ(s.h(HistKind::kRoundTripNs).count, 64u)
+          << "settled generation with a reset's zeroes: torn";
+    }
     prev_gen = s.generation;
     prev_sends = s.counters.sends;
   }
-  stop.store(true, std::memory_order_relaxed);
-  writer.join();
   EXPECT_GT(coherent, 0u) << "reader never got a coherent snapshot";
 }
 
