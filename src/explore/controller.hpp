@@ -22,8 +22,11 @@
 // RobustSpinlock critical section livelocks any contending scheduled
 // thread (the contender spins without ever reaching a marker). Scenarios
 // must keep concurrently-scheduled threads on disjoint locks — e.g. one
-// producer (tail lock) plus one consumer (head lock). The wedge detector
-// turns an accidental violation into a reported timeout, not a hang.
+// producer (tail lock) plus one consumer (head lock). A reply ring's
+// producer lock counts: it is held across the kRing enqueue markers, and
+// its consumer takes it while the overflow queue holds messages. The
+// wedge detector turns an accidental violation into a reported timeout,
+// not a hang.
 #pragma once
 
 #ifndef ULIPC_EXPLORE_ENABLED

@@ -126,7 +126,8 @@ inline InvariantReport check_invariants(
 
   for (NativeEndpoint* ep : endpoints) {
     if (ep == nullptr || !ep->queue) continue;
-    const bool queue_empty = ep->queue->empty();
+    const bool queue_empty =
+        ep->queue->empty() && (!ep->ring || ep->ring->empty());
     const bool awake = ep->awake.is_set();
     const std::uint32_t tokens = ep->fsem.value();
     if (!queue_empty && !awake && tokens == 0) {

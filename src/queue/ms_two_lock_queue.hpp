@@ -171,6 +171,7 @@ class TwoLockQueue {
       lf_copy_words(&node.span, &sp, sizeof(SpanStamp));
       idx = node.next;
     }
+    explore::point(explore::Point::kQEnqueueNodeReady);
     ShmIndex spare = kNullIndex;  // chain suffix the room did not admit
     std::uint32_t spare_n = 0;
     {

@@ -28,8 +28,8 @@
 //    nodes (the list links themselves stay consistent at every
 //    intermediate step). mark_free() runs the same walk, so whoever locks
 //    first after a death, every free-listed node carries owner 0 while the
-//    lock is held — which is what lets reclaim_unmarked_dead() re-read a
-//    stamp under the lock and never push a node that is already free.
+//    lock is held — which is what lets reclaim_dead() re-read a stamp
+//    under the lock and never push a node that is already free.
 #pragma once
 
 #include <atomic>
@@ -374,28 +374,47 @@ class NodePool {
     recount_free_locked(&mark);
   }
 
-  /// Releases every node that is NOT marked (neither free nor reachable
-  /// from a queue) and whose owner is dead per `is_alive`. Returns the
-  /// number reclaimed. Caller must serialize sweeps (one recovery sweep at
-  /// a time) and pass a `mark` freshly produced by mark_free + the queues'
-  /// mark_reachable.
+  /// The sweep's suspects: for every node NOT marked in `mark` (neither
+  /// free nor reachable from a queue) whose stamped owner is dead per
+  /// `is_alive`, that owner's pid; 0 for every other node.
   template <typename LivenessFn>
-  std::uint32_t reclaim_unmarked_dead(const std::vector<char>& mark,
-                                      LivenessFn&& is_alive) noexcept {
-    std::uint32_t reclaimed = 0;
+  [[nodiscard]] std::vector<std::uint32_t> dead_holders(
+      const std::vector<char>& mark, LivenessFn&& is_alive) const {
+    std::vector<std::uint32_t> held(capacity_, 0);
     for (ShmIndex i = 0; i < capacity_; ++i) {
       if (mark[i]) continue;
       const std::uint32_t owner = node(i).owner_pid;
-      if (owner == 0 || is_alive(owner)) continue;
+      if (owner != 0 && !is_alive(owner)) held[i] = owner;
+    }
+    return held;
+  }
+
+  /// Releases every suspect (see dead_holders) that is unmarked in
+  /// `confirm` and, re-read under the pool lock, still carries the stamp it
+  /// was suspected under. Returns the number reclaimed. Caller serializes
+  /// sweeps.
+  ///
+  /// A mark is a snapshot: a node unmarked in it may have belonged to a
+  /// LIVE holder that linked it into a queue right after and then died —
+  /// the node is queued, yet stamped by a corpse. `confirm` must therefore
+  /// be a mark (mark_free + every queue's mark_reachable) taken AFTER the
+  /// suspects' owners were seen dead: a dead owner links nothing more, so
+  /// a suspect still unmarked then is truly off every list.
+  ///
+  /// The re-read covers the other side of the snapshot: the owner may have
+  /// died inside release_chain after linking the node back (free-listed,
+  /// stamp not yet cleared), and pushing it again would make it its own
+  /// successor. Holding the lock (after the steal's recount) every
+  /// free-listed node carries owner 0, so an unchanged dead stamp proves
+  /// the node is still off the free list.
+  std::uint32_t reclaim_dead(const std::vector<std::uint32_t>& suspects,
+                             const std::vector<char>& confirm) noexcept {
+    std::uint32_t reclaimed = 0;
+    for (ShmIndex i = 0; i < capacity_; ++i) {
+      if (suspects[i] == 0 || confirm[i]) continue;
       RobustGuard g(lock_.value);
       if (g.stolen()) recount_free_locked();
-      // Revalidate under the lock. The mark may predate the owner's death
-      // inside release_chain, after it had linked this node back: the node
-      // is then free-listed with the corpse's stamp, and pushing it again
-      // would make it its own successor. Holding the lock (after the
-      // steal's recount) every free-listed node carries owner 0, so an
-      // unchanged dead stamp proves the node is still off the free list.
-      if (node(i).owner_pid != owner) continue;
+      if (node(i).owner_pid != suspects[i]) continue;
       release_chain_locked(i, 1);
       ++reclaimed;
     }

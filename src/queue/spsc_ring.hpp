@@ -1,17 +1,27 @@
-// Single-producer / single-consumer ring buffer (Lamport queue).
+// Single-producer / single-consumer ring buffer (Lamport queue), fronting
+// every client reply endpoint.
 //
-// A single-server channel makes every *reply* queue strictly SPSC: exactly
-// one server produces replies, and exactly one client consumes them. Only
-// the shared server receive queue is MPSC and needs the two-lock queue (pool
-// channels carry no rings: stealing makes their replies multi-producer).
-// This ring is therefore the
-// reply-direction fast path: no locks at all — one atomic index per side,
-// each written by exactly one process — with the two-lock queue kept as an
-// overflow fallback (see NativePlatform's endpoint routing).
+// The ring itself is strictly SPSC: one atomic index per side, each side's
+// fields written by one party at a time. A reply endpoint, though, can have
+// more than one producer — on a pool channel the shard owner, an idle
+// worker that stole the request, or a reaper serving a dead worker's
+// backlog all answer the same client. They share the ring through
+// producer_lock(), one RobustSpinlock every producer holds across its
+// whole routing decision (ring while the overflow queue is empty, else the
+// overflow queue — see NativePlatform's endpoint routing). The consumer
+// takes it only to read the overflow queue. On a single-server channel the
+// lock is never contended and stays in the server's cache.
+//
+// A producer SIGKILLed while holding the lock needs no repair: before its
+// head publish it leaves at most a written but unpublished slot, which the
+// next holder (who steals the lock) simply overwrites; after it, the
+// message is published and complete. A death inside the overflow queue's
+// enqueue or dequeue is repaired by that queue's own lock steal or
+// helping.
 //
 // Also used by ablation benches to quantify what the two-lock queue costs
 // relative to the cheapest possible correct queue, and by the task_farm
-// example for its result channels.
+// example for its result channels (each with one producer, no lock).
 #pragma once
 
 #include <algorithm>
@@ -23,6 +33,7 @@
 #include "explore/hooks.hpp"
 #include "queue/message.hpp"
 #include "shm/offset_ptr.hpp"
+#include "shm/robust_spinlock.hpp"
 #include "shm/shm_allocator.hpp"
 
 namespace ulipc {
@@ -156,9 +167,10 @@ class SpscRing {
   [[nodiscard]] std::uint32_t capacity() const noexcept { return mask_ + 1; }
 
   /// Recovery only: discards every queued message and resets both per-side
-  /// index caches. Requires BOTH the producer and the consumer to be
-  /// quiesced (dead or stopped) — it writes fields normally owned by each
-  /// side. Returns the number of messages discarded.
+  /// index caches. Requires BOTH sides quiesced — it writes fields normally
+  /// owned by each: the consumer dead or stopped, and no producer inside an
+  /// enqueue (on a shared ring, hold producer_lock()). Returns the number
+  /// of messages discarded.
   std::uint32_t drain() noexcept {
     const std::uint32_t head = head_.load(std::memory_order_acquire);
     const std::uint32_t tail = tail_.load(std::memory_order_acquire);
@@ -166,6 +178,28 @@ class SpscRing {
     head_cache_ = head;
     tail_cache_ = head;
     return head - tail;
+  }
+
+  /// Visits every message published and not yet consumed, oldest first
+  /// (the recovery sweep pins their payload slots). Hold producer_lock():
+  /// no producer can then rewrite a slot in [tail, head). A consumer racing
+  /// the walk only makes it visit an already-taken message, which pins a
+  /// slot for one sweep and never unpins one.
+  template <typename Fn>
+  void for_each_pending(Fn&& fn) const noexcept {
+    // Tail first: it never passes the head read after it.
+    const std::uint32_t tail = tail_.load(std::memory_order_acquire);
+    const std::uint32_t head = head_.load(std::memory_order_acquire);
+    const Slot* slots = slots_.get();
+    for (std::uint32_t i = tail; i != head; ++i) fn(slots[i & mask_].msg);
+  }
+
+  /// Serializes the ring's producers (see the file comment). Uncontended
+  /// on single-producer endpoints. Besides the producers, only the
+  /// consumer reading the overflow queue and recovery code that drains or
+  /// walks the ring on a live channel take it.
+  [[nodiscard]] RobustSpinlock& producer_lock() noexcept {
+    return producer_lock_;
   }
 
   /// TEST ONLY: repositions both indices of an EMPTY, quiesced ring to
@@ -190,6 +224,8 @@ class SpscRing {
 
   alignas(kCacheLineSize) std::uint32_t mask_ = 0;
   OffsetPtr<Slot> slots_;
+
+  RobustSpinlock producer_lock_;  // cache-line aligned: its own line
 };
 
 }  // namespace ulipc

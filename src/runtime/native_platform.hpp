@@ -50,18 +50,17 @@ enum class SemKind : std::uint8_t {
 /// and the semaphore its consumer sleeps on (both kinds are embedded; the
 /// platform's SemKind selects which one is used).
 ///
-/// Endpoints whose traffic is topologically single-producer/single-consumer
-/// (every reply endpoint of a single-server channel) also carry a lock-free
-/// SpscRing as the fast path; `ring` stays unset on the MPSC server receive
-/// endpoint and everywhere on pool channels. Routing (see enqueue/dequeue below) keeps
-/// FIFO order across the two structures: the producer uses the ring only
-/// while the overflow queue (a MsgQueue of either engine) is empty, and
-/// the consumer always drains the ring before the overflow queue, so a
-/// message in the overflow
-/// queue is always newer than everything in the ring.
+/// Every client reply endpoint also carries an SpscRing as the fast path;
+/// `ring` stays unset on the MPSC receive endpoints (the server's and the
+/// pool's shards). Routing (see enqueue/dequeue below) keeps FIFO order
+/// across the two structures: producers, serialized by the ring's producer
+/// lock, use the ring only while the overflow queue (a MsgQueue of either
+/// engine) is empty, so a message in the overflow queue is always newer
+/// than everything in the ring, and the consumer takes the overflow queue
+/// only once the ring is empty.
 struct NativeEndpoint {
   OffsetPtr<MsgQueue> queue;
-  OffsetPtr<SpscRing> ring;  // null on MPSC endpoints
+  OffsetPtr<SpscRing> ring;  // null on receive endpoints
   AwakeFlag awake;
   FutexSemaphore fsem;
   SysvSemHandle vsem;
@@ -135,12 +134,17 @@ class NativePlatform {
 
   // ---- queue ----
   //
-  // FIFO across ring + overflow queue: only the single producer decides
-  // where a message lands, and it spills to the overflow queue exactly when
-  // the ring is full or the overflow queue is non-empty. Overflow observed
-  // empty (acquire read of its size) means every older message has already
-  // been copied out by the consumer, so a fresh ring enqueue cannot
-  // overtake anything.
+  // FIFO across ring + overflow queue: producers decide where a message
+  // lands one at a time, under the ring's producer lock, and spill to the
+  // overflow queue exactly when the ring is full or the overflow queue is
+  // non-empty — so every overflow message is newer than everything in the
+  // ring, and the consumer takes the ring first. The consumer reads the
+  // overflow queue only under the same lock, after finding the ring empty
+  // there: checked without it, producers could refill the ring and spill a
+  // newer message into the queue between the check and the dequeue. The
+  // consumer pays that lock only while the overflow queue holds messages.
+  // A steal of the lock from a dead holder needs no repair (see
+  // queue/spsc_ring.hpp).
 
   // Every enqueue peeks a span stamp first (a mint, the adopted inbound
   // span for a reply, or untraced — see span_next_stamp) and COMMITS it via
@@ -149,29 +153,32 @@ class NativePlatform {
 
   bool enqueue(Endpoint& ep, const Message& msg) noexcept {
     const SpanStamp st = span_next_stamp();
-    if (SpscRing* r = ep.ring.get();
-        r && ep.queue->empty() && r->enqueue(msg, st)) {
-      span_note_sent(ep, st);
-      return true;
+    bool sent;
+    if (SpscRing* r = ep.ring.get()) {
+      RobustGuard producers(r->producer_lock());
+      sent = (ep.queue->empty() && r->enqueue(msg, st)) ||
+             ep.queue->enqueue(msg, st);
+    } else {
+      sent = ep.queue->enqueue(msg, st);
     }
-    if (ep.queue->enqueue(msg, st)) {
-      span_note_sent(ep, st);
-      return true;
-    }
-    return false;
+    if (sent) span_note_sent(ep, st);
+    return sent;
   }
   bool dequeue(Endpoint& ep, Message* out) noexcept {
     SpanStamp st{};
     SpanStamp* sp = obs::kTraceCompiledIn ? &st : nullptr;
-    if (SpscRing* r = ep.ring.get(); r && r->dequeue(out, sp)) {
-      span_note_received(ep, st);
-      return true;
+    bool got;
+    if (SpscRing* r = ep.ring.get()) {
+      got = r->dequeue(out, sp);
+      if (!got && !ep.queue->empty()) {
+        RobustGuard producers(r->producer_lock());
+        got = r->dequeue(out, sp) || ep.queue->dequeue(out, sp);
+      }
+    } else {
+      got = ep.queue->dequeue(out, sp);
     }
-    if (ep.queue->dequeue(out, sp)) {
-      span_note_received(ep, st);
-      return true;
-    }
-    return false;
+    if (got) span_note_received(ep, st);
+    return got;
   }
   bool queue_empty(Endpoint& ep) noexcept {
     SpscRing* r = ep.ring.get();
@@ -184,36 +191,38 @@ class NativePlatform {
     // degrades to one sampled span per flush on batched paths).
     const SpanStamp st = span_next_stamp();
     std::uint32_t done = 0;
-    if (SpscRing* r = ep.ring.get(); r && ep.queue->empty()) {
-      done = r->enqueue_batch(msgs, n, st);
-      if (done == n) {
-        if (done != 0) span_note_sent(ep, st);
-        return done;
+    if (SpscRing* r = ep.ring.get()) {
+      RobustGuard producers(r->producer_lock());
+      if (ep.queue->empty()) done = r->enqueue_batch(msgs, n, st);
+      if (done < n) {
+        done += ep.queue->enqueue_batch(msgs + done, n - done,
+                                        done == 0 ? st : SpanStamp{});
       }
+    } else {
+      done = ep.queue->enqueue_batch(msgs, n, st);
     }
-    done += ep.queue->enqueue_batch(msgs + done, n - done,
-                                    done == 0 ? st : SpanStamp{});
     if (done != 0) span_note_sent(ep, st);
     return done;
   }
   std::uint32_t dequeue_batch(Endpoint& ep, Message* out,
                               std::uint32_t max) noexcept {
-    SpanStamp ring_st{};
-    SpanStamp q_st{};
-    SpanStamp* rsp = obs::kTraceCompiledIn ? &ring_st : nullptr;
-    std::uint32_t got = 0;
+    SpanStamp st{};
+    SpanStamp* sp = obs::kTraceCompiledIn ? &st : nullptr;
+    std::uint32_t got;
     if (SpscRing* r = ep.ring.get()) {
-      got = r->dequeue_batch(out, max, rsp);
-      if (got == max) {
-        span_note_received(ep, ring_st);
-        return got;
+      // A short ring batch is returned as is (the caller comes back for
+      // more): the ring may still hold older messages than the overflow
+      // queue's, past a stale producer-index cache.
+      got = r->dequeue_batch(out, max, sp);
+      if (got == 0 && !ep.queue->empty()) {
+        RobustGuard producers(r->producer_lock());
+        got = r->dequeue_batch(out, max, sp);
+        if (got == 0) got = ep.queue->dequeue_batch(out, max, sp);
       }
+    } else {
+      got = ep.queue->dequeue_batch(out, max, sp);
     }
-    SpanStamp* qsp = obs::kTraceCompiledIn ? &q_st : nullptr;
-    got += ep.queue->dequeue_batch(out + got, max - got, qsp);
-    // Overflow-queue messages are always newer than the ring's (the FIFO
-    // routing rule), so the queue's stamp is the batch's last traced one.
-    span_note_received(ep, q_st.traced() ? q_st : ring_st);
+    span_note_received(ep, st);
     return got;
   }
 

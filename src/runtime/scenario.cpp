@@ -411,6 +411,9 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
     }
   }
   for (std::uint32_t c = 0; c < spec.clients; ++c) {
+    (void)channel.drain_reply_endpoint(c);
+  }
+  for (std::uint32_t c = 0; c < spec.clients; ++c) {
     if (channel.client_crashed(c)) {
       (void)channel.reclaim_client(c);
       channel.shard_map().unplace(c);
@@ -424,8 +427,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
   }
   {
     RobustGuard g(channel.header().recovery_lock);
-    (void)sweep_leaked_nodes(channel.node_pool(), channel.all_queues(),
-                             channel.payload_plane());
+    (void)channel.sweep_leaked();
   }
   res.slo_nodes_conserved = channel.node_pool().free_count() == free0;
   // Payload-slot conservation: every loan — including those of SIGKILLed

@@ -8,8 +8,10 @@
 // endpoints. Clients pick a shard at connect time through the shared
 // PoolShardMap (least-loaded or rendezvous placement) and re-read their
 // assignment before every request, so re-placement after a worker death is
-// transparent to them. Replies go through the two-lock queues only (no SPSC
-// rings): stealing and migration make the reply direction multi-producer.
+// transparent to them. Replies land in each client's SPSC reply ring (its
+// overflow queue past a full ring): stealing and migration make the reply
+// direction multi-producer, so every worker replies under the ring's
+// producer lock (see queue/spsc_ring.hpp).
 //
 // Each worker loop:
 //   * receives on its own shard with the protocol's timed receive, then
@@ -23,10 +25,11 @@
 //
 // Worker-death recovery ordering (under the channel recovery lock):
 //   retire the shard (placement stops offering it) -> re-place its clients
-//   onto survivors -> drain + serve the orphaned backlog (those requests
-//   came from live clients; discarding them would hang senders) -> sweep
-//   leaked pool nodes -> vacate the worker seat. A request enqueued into
-//   the retired queue by a client that raced the retire is picked up by the
+//   onto survivors -> sweep leaked pool nodes (while the orphaned backlog's
+//   senders still wait for their replies) -> drain + serve that backlog
+//   (those requests came from live clients; discarding them would hang
+//   senders) -> vacate the worker seat. A request enqueued into the
+//   retired queue by a client that raced the retire is picked up by the
 //   straggler re-drain within one liveness timeout.
 //
 // Termination: disconnects are scattered across workers, so no single
@@ -40,6 +43,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -153,7 +157,8 @@ PoolWorkerResult run_pool_worker(ShmChannel& channel, Proto proto,
   // contiguous same-client runs — the batched server-loop shape, with each
   // flush bounded by the liveness timeout (a dead client's full reply queue
   // must not wedge a live worker; its dropped nodes are swept at reap).
-  const auto serve_batch = [&](const Message* reqs, std::uint32_t got) {
+  const auto serve_batch = [&](const Message* reqs, std::uint32_t got,
+                               bool recovery_held) {
     std::uint32_t i = 0;
     std::uint32_t newly_disconnected = 0;
     while (i < got) {
@@ -191,15 +196,19 @@ PoolWorkerResult run_pool_worker(ShmChannel& channel, Proto proto,
       if (st == Status::kOk) p.counters().replies += n;
       // Data requests from a departed seat are a corpse's leftovers. If a
       // reaper already drained the seat, these replies would sit in its
-      // queue for good: reclaim_client marks the seat before its drain, and
-      // the enqueue above fences after publishing, so whichever of the two
-      // comes second sees the other's write. Under the recovery lock the
-      // reap has finished; a seat re-registered since belongs to a new
-      // client and keeps its queue.
+      // ring or queue for good: reclaim_client marks the seat before its
+      // drain, and the enqueue above fences after publishing, so whichever
+      // of the two comes second sees the other's write. Under the recovery
+      // lock the reap has finished; a seat re-registered since belongs to a
+      // new client and keeps its replies. Batches served by
+      // drain_and_serve already run under the recovery lock.
       if (!handshake &&
           hdr.client_departed[cid].load(std::memory_order_relaxed) != 0) {
-        RobustGuard g(hdr.recovery_lock);
-        if (channel.client_pid(cid) == 0) (void)reply_ep.queue->drain();
+        std::optional<RobustGuard> g;
+        if (!recovery_held) g.emplace(hdr.recovery_lock);
+        if (channel.client_pid(cid) == 0) {
+          (void)channel.drain_reply_endpoint(cid);
+        }
       }
     }
     if (newly_disconnected > 0) {
@@ -209,14 +218,15 @@ PoolWorkerResult run_pool_worker(ShmChannel& channel, Proto proto,
   };
 
   // Non-blocking drain-and-serve of an endpoint until empty. Used for the
-  // orphan backlog at reap time and the retired-shard straggler sweep.
+  // orphan backlog at reap time and the retired-shard straggler sweep, both
+  // under the recovery lock.
   const auto drain_and_serve = [&](NativeEndpoint& ep) {
     std::uint32_t total = 0;
     for (;;) {
       const std::uint32_t k = p.dequeue_batch(ep, in, kServerBatch);
       if (k == 0) break;
       p.counters().receives += k;
-      serve_batch(in, k);
+      serve_batch(in, k, /*recovery_held=*/true);
       total += k;
     }
     return total;
@@ -232,8 +242,8 @@ PoolWorkerResult run_pool_worker(ShmChannel& channel, Proto proto,
     WorkerCrashEvent ev;
     ev.shard = s;
     ev.pid = pid;
-    // Ordering (see file comment): retire -> re-place -> drain+serve ->
-    // sweep -> vacate.
+    // Ordering (see file comment): retire -> re-place -> sweep ->
+    // drain+serve -> vacate.
     map.retire(s);
     explore::point(explore::Point::kPoolRetired);
     NativeEndpoint& dead_ep = channel.shard_endpoint(s);
@@ -242,17 +252,20 @@ PoolWorkerResult run_pool_worker(ShmChannel& channel, Proto proto,
     p.set_awake(dead_ep);
     ev.clients_replaced = map.replace_clients_of(s, opts.policy);
     explore::point(explore::Point::kPoolReplaced);
+    // Sweep before serving the backlog: its senders are still blocked on
+    // their replies, so none of them is mid-enqueue while the sweep walks
+    // the queues (a lock-free walk can erase a live enqueuer's capacity
+    // reservation — DESIGN.md §18).
+    const RecoveryStats swept = channel.sweep_leaked();
+    ev.nodes_reclaimed = swept.nodes_reclaimed;
+    ev.payloads_reclaimed = swept.payloads_reclaimed;
+    explore::point(explore::Point::kPoolSwept);
     ev.migrated_messages = drain_and_serve(dead_ep);
     explore::point(explore::Point::kPoolDrained);
     map.shards[s].migrated_msgs.fetch_add(ev.migrated_messages,
                                           std::memory_order_relaxed);
     p.counters().migrated_msgs += ev.migrated_messages;
     result.migrated_messages += ev.migrated_messages;
-    const RecoveryStats swept = sweep_leaked_nodes(
-        channel.node_pool(), channel.all_queues(), channel.payload_plane());
-    ev.nodes_reclaimed = swept.nodes_reclaimed;
-    ev.payloads_reclaimed = swept.payloads_reclaimed;
-    explore::point(explore::Point::kPoolSwept);
     channel.deregister_worker(s);
     explore::point(explore::Point::kPoolVacated);
     channel.publish_recovery(s, ev.migrated_messages, ev.nodes_reclaimed,
@@ -298,8 +311,8 @@ PoolWorkerResult run_pool_worker(ShmChannel& channel, Proto proto,
     }
     // 4. Bounded steal from the most-loaded live shard: an idle worker
     // must not strand behind a skewed placement. dequeue_batch is
-    // multi-consumer-safe (head lock), and replies from here are why pool
-    // reply endpoints carry no SPSC ring.
+    // multi-consumer-safe (head lock), and replies from here are one reason
+    // reply rings take a producer lock.
     if (opts.steal_batch == 0) return;
     std::uint32_t victim = kNoShard;
     std::uint64_t victim_depth = 0;
@@ -323,7 +336,7 @@ PoolWorkerResult run_pool_worker(ShmChannel& channel, Proto proto,
     map.shards[victim].stolen_msgs.fetch_add(k, std::memory_order_relaxed);
     ++result.steal_passes;
     result.stolen_messages += k;
-    serve_batch(in, k);
+    serve_batch(in, k, /*recovery_held=*/false);
   };
 
   const auto done = [&] {
@@ -365,7 +378,7 @@ PoolWorkerResult run_pool_worker(ShmChannel& channel, Proto proto,
       ++p.counters().batch_dequeues;
       p.counters().receives += got - 1;
     }
-    serve_batch(in, got);
+    serve_batch(in, got, /*recovery_held=*/false);
     if (opts.park_worker == shard &&
         result.server.echo_messages >= opts.park_after_messages) {
       parked = true;

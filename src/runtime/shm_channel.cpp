@@ -61,8 +61,9 @@ std::size_t ShmChannel::required_bytes(const Config& cfg) {
   std::size_t bytes = sizeof(ArenaHeader) + sizeof(ShmChannelHeader);
   bytes += sizeof(NodePool) + pool_nodes * sizeof(MsgNode);
   bytes += queues * (sizeof(NativeEndpoint) + sizeof(MsgQueue));
-  // SPSC rings on every endpoint except the server's (slot count is the
-  // queue capacity rounded up to a power of two).
+  // SPSC rings on the client endpoints (slot count is the queue capacity
+  // rounded up to a power of two). Counted for every endpoint but the
+  // server's: the shard endpoints' share is slack.
   std::size_t ring_slots = 1;
   while (ring_slots < cfg.queue_capacity) ring_slots <<= 1;
   bytes +=
@@ -100,12 +101,11 @@ ShmChannel ShmChannel::create(ShmRegion& region, const Config& cfg) {
   NodePool* pool = NodePool::create(ch.arena_, pool_nodes);
   ch.header_->node_pool_offset = ch.arena_.to_offset(pool);
 
-  // `with_ring` marks the endpoint's traffic as topologically SPSC (one
-  // fixed producer process/thread, one fixed consumer), enabling the
-  // lock-free fast path. That holds for every client reply endpoint of a
-  // single-server channel (the one server replies, the one owning client
-  // reads) — but NOT for the shared server receive endpoint, which all
-  // clients write.
+  // `with_ring` fronts the endpoint's overflow queue with an SpscRing: every
+  // client reply endpoint has one. Its producers (the one server, or on a
+  // pool channel any worker that answers the client: owner, thief, reaper)
+  // share it through the ring's producer lock. The receive endpoints — the
+  // server's, and the pool's shards — have many producers and no ring.
   auto build_endpoint = [&](std::uint32_t id, int sem_index, bool with_ring,
                             QueueEngine engine) {
     auto* ep = ch.arena_.construct<NativeEndpoint>();
@@ -119,16 +119,11 @@ ShmChannel ShmChannel::create(ShmRegion& region, const Config& cfg) {
     return ch.arena_.to_offset(ep);
   };
 
-  // On pool channels the reply direction is NOT single-producer: an idle
-  // worker that steals a client's request answers it from a different
-  // thread/process than the shard owner, so replies must go through the
-  // MP-safe two-lock queue — no SPSC reply rings.
-  const bool reply_ring = cfg.shards == 0;
   ch.header_->srv_ep_offset =
       build_endpoint(0, 0, /*with_ring=*/false, cfg.engines.server);
   for (std::uint32_t i = 0; i < cfg.max_clients; ++i) {
     ch.header_->client_ep_offset[i] =
-        build_endpoint(i, static_cast<int>(i) + 1, reply_ring,
+        build_endpoint(i, static_cast<int>(i) + 1, /*with_ring=*/true,
                        cfg.engines.reply);
   }
   if (cfg.shards > 0) {
@@ -236,23 +231,15 @@ ShmChannel::ReclaimStats ShmChannel::reclaim_client(std::uint32_t i) noexcept {
   std::atomic_thread_fence(std::memory_order_seq_cst);
 
   // Step 1: discard the answers nobody will read from the dead client's
-  // reply queue. The ring drains too — and the ring drain also resets the
-  // per-side index caches, so a reconnecting client reusing this seat
-  // starts from coherent indices (drain() requires both sides quiesced:
-  // the client is dead and the server has stopped serving this seat before
-  // reclaiming it).
-  stats.drained_messages += client_endpoint(i).queue->drain();
-  if (SpscRing* r = client_endpoint(i).ring.get()) {
-    stats.drained_messages += r->drain();
-  }
+  // reply endpoint (see drain_reply_endpoint: the ring drain also resets
+  // its index caches, so a reconnecting client reusing this seat starts
+  // from coherent indices).
+  stats.drained_messages += drain_reply_endpoint(i);
 
   // Step 2: sweep the shared node pool for nodes the corpse leaked between
   // allocate() and a queue link (or between unlink and release()), and the
-  // payload plane for loans the corpse never released. Every queue of the
-  // channel participates in the reachability mark — a queue left out would
-  // have its in-flight nodes misread as leaks.
-  const RecoveryStats swept =
-      sweep_leaked_nodes(node_pool(), all_queues(), payload_plane());
+  // payload plane for loans the corpse never released.
+  const RecoveryStats swept = sweep_leaked();
   stats.nodes_reclaimed = swept.nodes_reclaimed;
   stats.payloads_reclaimed = swept.payloads_reclaimed;
 
@@ -275,6 +262,28 @@ std::vector<MsgQueue*> ShmChannel::all_queues() {
     queues.push_back(shard_endpoint(s).queue.get());
   }
   return queues;
+}
+
+std::uint32_t ShmChannel::drain_reply_endpoint(std::uint32_t i) noexcept {
+  NativeEndpoint& ep = client_endpoint(i);
+  std::uint32_t drained = 0;
+  if (SpscRing* r = ep.ring.get()) {
+    // The producer lock keeps live repliers out of the ring while drain()
+    // rewrites its producer-side fields; the seat's consumer is gone.
+    RobustGuard producers(r->producer_lock());
+    drained = r->drain();
+  }
+  return drained + ep.queue->drain();
+}
+
+RecoveryStats ShmChannel::sweep_leaked() {
+  // The client reply rings are the channel's only rings.
+  std::vector<SpscRing*> rings;
+  for (std::uint32_t c = 0; c < header_->max_clients; ++c) {
+    rings.push_back(client_endpoint(c).ring.get());
+  }
+  return sweep_leaked_nodes(node_pool(), all_queues(), payload_plane(),
+                            rings);
 }
 
 void ShmChannel::publish_recovery(std::uint32_t participant,

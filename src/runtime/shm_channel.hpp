@@ -26,6 +26,7 @@
 #include "queue/msg_queue.hpp"
 #include "queue/payload_pool.hpp"
 #include "queue/queue_engine.hpp"
+#include "queue/queue_recovery.hpp"
 #include "runtime/native_platform.hpp"
 #include "shm/process.hpp"
 #include "shm/robust_spinlock.hpp"
@@ -336,8 +337,8 @@ class ShmChannel {
   };
 
   /// Reclaims everything a crashed client left behind: drains its reply
-  /// queue, sweeps the node pool for nodes the
-  /// corpse leaked mid-operation, and vacates its seat. Serialized against
+  /// endpoint, sweeps the node pool for nodes the corpse leaked
+  /// mid-operation, and vacates its seat. Serialized against
   /// concurrent reclaims by the header's recovery lock; safe to run while
   /// other clients keep trafficking the channel.
   ReclaimStats reclaim_client(std::uint32_t i) noexcept;
@@ -347,6 +348,17 @@ class ShmChannel {
   /// in-flight nodes misread as leaks). Includes shard queues on pool
   /// channels.
   [[nodiscard]] std::vector<MsgQueue*> all_queues();
+
+  /// Discards everything pending on client `i`'s reply endpoint — the ring
+  /// under its producer lock, then the overflow queue — and returns the
+  /// count. For a seat whose client is gone: the caller guarantees no
+  /// consumer.
+  std::uint32_t drain_reply_endpoint(std::uint32_t i) noexcept;
+
+  /// sweep_leaked_nodes over this channel's pool, queues, reply rings (the
+  /// payload slots of replies pending there stay pinned) and payload
+  /// plane. Callers serialize sweeps (the header's recovery lock).
+  RecoveryStats sweep_leaked();
 
   /// Publishes one recovery event (counters + the shared recovery ring).
   /// Caller must hold the header's recovery lock, which serializes every

@@ -22,9 +22,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
+#include <new>
 #include <optional>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "explore/crash_point.hpp"
@@ -268,6 +271,97 @@ TEST_P(CrashPointTest, DeathInsideBatchNodeReleaseIsSwept) {
   EXPECT_TRUE(invariants().ok()) << invariants().to_string();
 }
 
+// Parks the calling thread at one marker until `go` is raised (the flags
+// live in shared memory, so a forked victim can be held mid-operation).
+class ParkAtPoint final : public explore::ThreadHook {
+ public:
+  ParkAtPoint(Point at, std::atomic<std::uint32_t>* parked,
+              std::atomic<std::uint32_t>* go)
+      : at_(at), parked_(parked), go_(go) {}
+  void on_point(Point p) override {
+    if (p != at_) return;
+    parked_->store(1, std::memory_order_release);
+    while (go_->load(std::memory_order_acquire) == 0) sched_yield();
+  }
+  void on_block(Point) override {}
+  void on_resume() override {}
+
+ private:
+  Point at_;
+  std::atomic<std::uint32_t>* parked_;
+  std::atomic<std::uint32_t>* go_;
+};
+
+// Runs `fn` once, the first time the calling thread reaches a marker.
+class RunAtPoint final : public explore::ThreadHook {
+ public:
+  RunAtPoint(Point at, std::function<void()> fn)
+      : at_(at), fn_(std::move(fn)) {}
+  void on_point(Point p) override {
+    if (p != at_ || !fn_) return;
+    std::function<void()> fn = std::move(fn_);
+    fn_ = nullptr;
+    fn();
+  }
+  void on_block(Point) override {}
+  void on_resume() override {}
+
+ private:
+  Point at_;
+  std::function<void()> fn_;
+};
+
+TEST_P(CrashPointTest, HolderLinkingAfterTheSweepMarkKeepsItsNodes) {
+  // The node sweep's mark is a snapshot. A live enqueuer holds two
+  // allocated, filled, unlinked nodes while the sweep marks; right after
+  // the mark it links them and dies. The nodes are queued now, yet stamped
+  // by a corpse: the sweep may release only nodes that a second mark,
+  // taken after their owner was seen dead, still finds off every list.
+  ShmRegion flag_region = ShmRegion::create_anonymous(4096);
+  auto* parked = new (flag_region.base()) std::atomic<std::uint32_t>(0);
+  auto* go = new (parked + 1) std::atomic<std::uint32_t>(0);
+  ChildProcess victim = run_victim_to_crash(Point::kQEnqueueDone, 1, [&] {
+    ParkAtPoint park(Point::kQEnqueueNodeReady, parked, go);
+    explore::set_thread_hook(&park);
+    const Message burst[2] = {Message(Op::kEcho, 0, 1.0),
+                              Message(Op::kEcho, 0, 2.0)};
+    (void)ep().queue->enqueue_batch(burst, 2);
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (parked->load(std::memory_order_acquire) == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    sched_yield();
+  }
+  if (parked->load(std::memory_order_acquire) == 0) {
+    go->store(1, std::memory_order_release);
+    FAIL() << "victim never held its unlinked nodes";
+  }
+
+  // Between the sweep's mark and its reclaim: let the victim link its
+  // nodes and die.
+  int victim_status = 0;
+  RunAtPoint link_and_die(Point::kSweepMarked, [&] {
+    go->store(1, std::memory_order_release);
+    victim_status = victim.join();
+  });
+  explore::set_thread_hook(&link_and_die);
+  const RecoveryStats stats = sweep_leaked_nodes(
+      channel_->node_pool(), channel_->all_queues(), nullptr);
+  explore::set_thread_hook(nullptr);
+  ASSERT_TRUE(died_at_marker(victim_status)) << "marker not reached";
+
+  EXPECT_EQ(stats.nodes_reclaimed, 0u) << "the sweep released queued nodes";
+  Message m;
+  ASSERT_TRUE(ep().queue->dequeue(&m));
+  EXPECT_DOUBLE_EQ(m.value, 1.0);
+  ASSERT_TRUE(ep().queue->dequeue(&m));
+  EXPECT_DOUBLE_EQ(m.value, 2.0);
+  EXPECT_FALSE(ep().queue->dequeue(&m));
+  EXPECT_EQ(channel_->node_pool().free_count(), free0_);
+  EXPECT_TRUE(invariants().ok()) << invariants().to_string();
+}
+
 INSTANTIATE_TEST_SUITE_P(Engines, CrashPointTest,
                          ::testing::Values(QueueEngine::kTwoLock,
                                            QueueEngine::kLockFree),
@@ -446,8 +540,10 @@ TEST_F(NodePoolStaleMarkCrashPointTest, DeathInsideReleaseAfterMarkIsSweptOnce) 
   ASSERT_TRUE(victim_holds) << "victim never allocated its chain";
   ASSERT_TRUE(died_at_marker(victim.join())) << "marker not reached";
 
-  const std::uint32_t reclaimed = pool.reclaim_unmarked_dead(
-      mark, [](std::uint32_t pid) { return process_alive(pid); });
+  const std::uint32_t reclaimed = pool.reclaim_dead(
+      pool.dead_holders(mark,
+                        [](std::uint32_t pid) { return process_alive(pid); }),
+      mark);
   EXPECT_EQ(reclaimed, 3u);
   expect_all_free();
 }

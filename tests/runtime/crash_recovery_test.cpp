@@ -30,6 +30,7 @@ constexpr std::int64_t kLivenessTimeoutNs = 50'000'000;  // 50 ms
 /// sequence the kill (the victim signals "ready to die" through it).
 struct CrashOut {
   std::atomic<std::uint32_t> victim_ready{0};
+  std::atomic<std::uint32_t> stop{0};  // external pool shutdown
   std::uint64_t echo_messages = 0;
   std::uint32_t crashed_clients = 0;
 };
@@ -343,7 +344,61 @@ TEST_F(CrashRecoveryTest, ReplyServedAfterReapIsDrained) {
   stopper.join();
 
   EXPECT_EQ(r.echo_messages, 1u) << "the corpse's request is still served";
-  EXPECT_TRUE(channel_->client_endpoint(0).queue->empty());
+  // The whole reply endpoint: the reply lands in the ring first.
+  NativeEndpoint& seat = channel_->client_endpoint(0);
+  EXPECT_TRUE(seat.ring->empty()) << "reply stranded in the reaped ring";
+  EXPECT_TRUE(seat.queue->empty()) << "reply stranded in the reaped queue";
+  EXPECT_EQ(channel_->node_pool().free_count(), free0);
+}
+
+// A reaped seat's leftover request can also sit in a dead WORKER's shard.
+// The survivor serves it while reaping that worker, holding the recovery
+// lock, and the reply must still be drained from the reaped seat — without
+// taking the recovery lock a second time (it is not re-entrant: a process
+// waiting on its own pid never steals).
+TEST_F(CrashRecoveryTest, LeftoverOfReapedSeatInDeadShardIsDrainedAtReap) {
+  build(2, /*shards=*/2);
+  const std::uint32_t free0 = channel_->node_pool().free_count();
+  ChildProcess dead_worker = ChildProcess::spawn([] { return 0; });
+  channel_->register_worker_pid(0,
+                                static_cast<std::uint32_t>(dead_worker.pid()));
+  ASSERT_EQ(dead_worker.join(), 0);
+  ChildProcess dead_client = ChildProcess::spawn([] { return 0; });
+  channel_->register_client_pid(0,
+                                static_cast<std::uint32_t>(dead_client.pid()));
+  ASSERT_EQ(dead_client.join(), 0);
+  ASSERT_TRUE(channel_->reclaim_client(0).reaped);
+  ASSERT_TRUE(channel_->shard_endpoint(0).queue->enqueue(
+      Message(Op::kEcho, 0, 1.0)));
+
+  // The survivor runs in its own process so a self-deadlocked reap cannot
+  // hang the test: it is killed once the bound passes.
+  ChildProcess survivor = ChildProcess::spawn([&] {
+    ServerPoolOptions opts;
+    opts.expected_clients = 1;
+    opts.liveness_timeout_ns = 5'000'000;
+    opts.steal_batch = 0;
+    opts.stop_flag = &out_->stop;
+    const PoolWorkerResult r =
+        run_pool_worker(*channel_, Bsw<NativePlatform>(), 1, opts);
+    return r.reaped_workers == 1 && r.server.echo_messages == 1 ? 0 : 1;
+  });
+  channel_->register_worker_pid(1, static_cast<std::uint32_t>(survivor.pid()));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (channel_->worker_pid(0) != 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool reaped = channel_->worker_pid(0) == 0;
+  out_->stop.store(1, std::memory_order_release);
+  if (!reaped) survivor.kill();
+  ASSERT_TRUE(reaped) << "the reap of worker 0 never finished";
+  EXPECT_EQ(survivor.join(), 0) << "the leftover was not served at reap";
+
+  NativeEndpoint& seat = channel_->client_endpoint(0);
+  EXPECT_TRUE(seat.ring->empty()) << "reply stranded in the reaped ring";
+  EXPECT_TRUE(seat.queue->empty()) << "reply stranded in the reaped queue";
   EXPECT_EQ(channel_->node_pool().free_count(), free0);
 }
 

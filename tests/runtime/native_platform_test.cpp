@@ -1,8 +1,13 @@
 #include "runtime/native_platform.hpp"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
+#include <array>
+#include <atomic>
+#include <chrono>
 #include <thread>
+#include <vector>
 
 #include "runtime/shm_channel.hpp"
 #include "shm/shm_region.hpp"
@@ -136,6 +141,103 @@ TEST_F(NativePlatformTest, YieldAndBusyWaitReturn) {
   mp.busy_wait(srv());
   EXPECT_GE(now_ns() - t0, 2'000);
   SUCCEED();
+}
+
+// A client reply endpoint with several repliers: four producer threads
+// push batches through NativePlatform::enqueue_batch while one consumer
+// drains it. The ring (8 slots) and its overflow queue (8) are both small,
+// so producers keep spilling into the overflow queue and coming back to
+// the ring. Every message must arrive exactly once, and each producer's in
+// the order it sent them — which needs the producers serialized across the
+// whole ring-or-overflow decision by the ring's producer lock.
+using SpscRingMultiProducerTest = NativePlatformTest;
+
+TEST_F(SpscRingMultiProducerTest, FourBatchProducersKeepPerProducerFifo) {
+  constexpr std::uint32_t kProducers = 4;
+  constexpr std::uint32_t kPerProducer = 20'000;
+  NativeEndpoint& ep = channel_->client_endpoint(0);
+  ASSERT_NE(ep.ring.get(), nullptr);
+
+  // A broken ring can wedge either side (full forever, or a head behind
+  // the tail): every loop also stops at this deadline, so a defect fails
+  // the test instead of hanging it.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  const auto expired = [&] {
+    return std::chrono::steady_clock::now() > deadline;
+  };
+  std::atomic<bool> overflow_seen{false};
+  std::atomic<std::uint32_t> finished{0};
+  std::vector<std::thread> producers;
+  for (std::uint32_t id = 0; id < kProducers; ++id) {
+    producers.emplace_back([&, id] {
+      NativePlatform p;
+      Message burst[7];
+      std::uint32_t seq = 0;
+      while (seq < kPerProducer && !expired()) {
+        // Batch sizes cycle 1..7, so batches straddle the ring's end.
+        const std::uint32_t n =
+            std::min(1 + seq % 7, kPerProducer - seq);
+        for (std::uint32_t i = 0; i < n; ++i) {
+          burst[i] = Message(Op::kEcho, id, static_cast<double>(seq + i));
+        }
+        std::uint32_t done = 0;
+        while (done < n && !expired()) {
+          const std::uint32_t k = p.enqueue_batch(ep, burst + done, n - done);
+          if (!ep.queue->empty()) {
+            overflow_seen.store(true, std::memory_order_relaxed);
+          }
+          if (k == 0) sched_yield();
+          done += k;
+        }
+        seq += n;
+      }
+      finished.fetch_add(1, std::memory_order_release);
+    });
+  }
+
+  // Hold the consumer back until the overflow queue has taken messages, so
+  // the spill-and-return path is exercised on every run.
+  while (!overflow_seen.load(std::memory_order_relaxed) && !expired()) {
+    sched_yield();
+  }
+  EXPECT_TRUE(overflow_seen.load()) << "the overflow path never ran";
+
+  // Consume until every producer has finished and the endpoint is empty
+  // (the finished count is read before the dequeue that comes back empty).
+  NativePlatform c;
+  std::array<std::uint32_t, kProducers> next{};
+  std::uint32_t misordered = 0;
+  std::uint32_t received = 0;
+  Message out[16];
+  while (received <= kProducers * kPerProducer && !expired()) {
+    const bool all_sent =
+        finished.load(std::memory_order_acquire) == kProducers;
+    const std::uint32_t k = c.dequeue_batch(ep, out, 16);
+    if (k == 0) {
+      if (all_sent) break;
+      sched_yield();
+      continue;
+    }
+    received += k;
+    for (std::uint32_t i = 0; i < k; ++i) {
+      const std::uint32_t id = out[i].channel;
+      if (id < kProducers && out[i].value == static_cast<double>(next[id])) {
+        ++next[id];
+      } else if (misordered++ == 0) {
+        ADD_FAILURE() << "producer " << id << " sent seq " << out[i].value
+                      << " out of order";
+      }
+    }
+  }
+  for (std::thread& t : producers) t.join();
+  EXPECT_FALSE(expired()) << "producers or consumer wedged";
+  EXPECT_EQ(misordered, 0u);
+  EXPECT_EQ(received, kProducers * kPerProducer);
+  for (std::uint32_t id = 0; id < kProducers; ++id) {
+    EXPECT_EQ(next[id], kPerProducer) << "producer " << id;
+  }
+  EXPECT_TRUE(c.queue_empty(ep)) << "a message was left behind";
 }
 
 }  // namespace

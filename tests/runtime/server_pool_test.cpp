@@ -41,10 +41,16 @@ TEST_F(ServerPoolTest, PoolChannelLayout) {
   EXPECT_EQ(channel_->shard_map().count(), 2u);
   EXPECT_NE(&channel_->shard_endpoint(0), &channel_->shard_endpoint(1));
   EXPECT_NE(&channel_->shard_endpoint(0), &channel_->server_endpoint());
-  // Shard queues are MPSC and reply queues multi-producer under stealing:
-  // no SPSC ring anywhere on a pool channel.
-  EXPECT_EQ(channel_->shard_endpoint(0).ring.get(), nullptr);
-  EXPECT_EQ(channel_->client_endpoint(0).ring.get(), nullptr);
+  // Shard queues are MPSC receive endpoints: no ring. Every client reply
+  // endpoint is fronted by a ring its repliers share under the producer
+  // lock.
+  for (std::uint32_t s = 0; s < 2; ++s) {
+    EXPECT_EQ(channel_->shard_endpoint(s).ring.get(), nullptr) << "shard " << s;
+  }
+  for (std::uint32_t c = 0; c < 4; ++c) {
+    EXPECT_NE(channel_->client_endpoint(c).ring.get(), nullptr)
+        << "client " << c;
+  }
 }
 
 // A client that never sees every peer connected gives up after this long
