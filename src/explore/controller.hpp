@@ -23,10 +23,9 @@
 // thread (the contender spins without ever reaching a marker). Scenarios
 // must keep concurrently-scheduled threads on disjoint locks — e.g. one
 // producer (tail lock) plus one consumer (head lock). A reply ring's
-// producer lock counts: it is held across the kRing enqueue markers, and
-// its consumer takes it while the overflow queue holds messages. The
-// wedge detector turns an accidental violation into a reported timeout,
-// not a hang.
+// producer lock counts: it is held across the kRing enqueue markers (the
+// ring's consumer never takes it). The wedge detector turns an accidental
+// violation into a reported timeout, not a hang.
 #pragma once
 
 #ifndef ULIPC_EXPLORE_ENABLED

@@ -259,7 +259,7 @@ constexpr void resumed() noexcept {}
 // accidental side effect (and therefore any codegen) fails to compile here.
 static_assert((point(Point::kNone), crash_point(Point::kNone),
                about_to_block(Point::kNone), resumed(), true),
-              "explore markers must be no-ops when ULIPC_EXPLORE is off");
+              "explore markers must be no-ops in uninstrumented builds");
 
 #endif  // ULIPC_EXPLORE_ENABLED
 

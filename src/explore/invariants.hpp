@@ -12,8 +12,9 @@
 //     exactly one of {free-listed, loaned to a live process}; a non-free
 //     slot with no owner is an unreclaimable leak, one owned by a dead
 //     pid is a leak the sweep should have taken back;
-//   * sleep/wake consistency per endpoint (futex semaphores): a non-empty
-//     queue with the awake flag clear and zero tokens is a lost wake-up
+//   * sleep/wake consistency per endpoint (futex semaphores), over its
+//     queue or, on a client reply endpoint, its ring: a non-empty
+//     endpoint with the awake flag clear and zero tokens is a lost wake-up
 //     (the consumer would sleep forever); an all-quiet endpoint with
 //     tokens banked is a stale token (the next sleeper wakes spuriously).
 //
@@ -125,9 +126,9 @@ inline InvariantReport check_invariants(
   }
 
   for (NativeEndpoint* ep : endpoints) {
-    if (ep == nullptr || !ep->queue) continue;
+    if (ep == nullptr) continue;
     const bool queue_empty =
-        ep->queue->empty() && (!ep->ring || ep->ring->empty());
+        ep->ring ? ep->ring->empty() : ep->queue->empty();
     const bool awake = ep->awake.is_set();
     const std::uint32_t tokens = ep->fsem.value();
     if (!queue_empty && !awake && tokens == 0) {

@@ -1,5 +1,6 @@
 // Queue-engine selection: which concurrent FIFO implementation backs each
-// endpoint topology of a channel.
+// node-queue topology of a channel (client reply endpoints are SPSC rings
+// and take no engine).
 //
 // The paper's evaluation uses the Michael & Scott two-lock queue, and that
 // remains the default engine. PR-4's idle-steal made pool shards genuinely
@@ -15,7 +16,7 @@
 //   2. process environment     ULIPC_QUEUE_ENGINE — either one engine name
 //                              applied to every topology ("lockfree"), or a
 //                              comma list of per-topology overrides
-//                              ("server=lockfree,reply=twolock,shard=lockfree");
+//                              ("server=lockfree,shard=twolock");
 //   3. explicit per-channel    ShmChannel::Config::engines.
 // CI pins engines via layer 2 so every suite runs against both; benches pin
 // via layer 2 or 3 so both engines' numbers land in the trajectory.
@@ -60,18 +61,14 @@ inline bool parse_queue_engine(std::string_view s, QueueEngine* out) noexcept {
 #define ULIPC_DEFAULT_QUEUE_ENGINE "twolock"
 #endif
 
-/// Per-topology engine choice. The three topologies have genuinely
+/// Per-topology engine choice. The two topologies have genuinely
 /// different contention shapes, so they are pinned independently:
 ///   server — the shared MPSC receive endpoint (every client produces);
-///   reply  — client reply endpoints (every one fronted by its SpscRing,
-///            which takes the traffic until the ring fills; this engine
-///            backs the overflow queue behind it);
 ///   shard  — pool shard receive endpoints, MPMC since PR-4's idle-steal
 ///            lets any worker consume any shard (the two-lock engine's
 ///            worst case).
 struct QueueEnginePolicy {
   QueueEngine server = QueueEngine::kTwoLock;
-  QueueEngine reply = QueueEngine::kTwoLock;
   QueueEngine shard = QueueEngine::kTwoLock;
 
   /// The compile-time default for every topology.
@@ -79,13 +76,13 @@ struct QueueEnginePolicy {
     QueueEnginePolicy p;
     QueueEngine def = QueueEngine::kTwoLock;
     (void)parse_queue_engine(ULIPC_DEFAULT_QUEUE_ENGINE, &def);
-    p.server = p.reply = p.shard = def;
+    p.server = p.shard = def;
     return p;
   }
 
   /// defaults() with the ULIPC_QUEUE_ENGINE environment override applied.
-  /// Grammar: a bare engine name sets all three topologies; a comma list of
-  /// `topology=engine` pairs (topologies: server, reply, shard) sets them
+  /// Grammar: a bare engine name sets both topologies; a comma list of
+  /// `topology=engine` pairs (topologies: server, shard) sets them
   /// individually. Unknown names/keys are ignored — a bench box with a
   /// stale variable must not change behavior silently into a crash.
   static QueueEnginePolicy from_env() noexcept {
@@ -95,7 +92,7 @@ struct QueueEnginePolicy {
     std::string_view rest(env);
     QueueEngine all = QueueEngine::kTwoLock;
     if (parse_queue_engine(rest, &all)) {
-      p.server = p.reply = p.shard = all;
+      p.server = p.shard = all;
       return p;
     }
     while (!rest.empty()) {
@@ -110,8 +107,6 @@ struct QueueEnginePolicy {
       if (!parse_queue_engine(item.substr(eq + 1), &e)) continue;
       if (key == "server") {
         p.server = e;
-      } else if (key == "reply") {
-        p.reply = e;
       } else if (key == "shard") {
         p.shard = e;
       }

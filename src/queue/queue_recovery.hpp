@@ -22,7 +22,7 @@
 // Payload slots get the same treatment, with "reachable" meaning
 // "referenced by the ext_offset of a message still pending in a queue or a
 // reply ring"; delivered payloads are guarded by their holder's owner-pid
-// stamp.
+// stamp. Reply rings hold no nodes: the node passes never look at them.
 //
 // Concurrency: steps run under the structures' own locks, so the sweep is
 // safe against live producers/consumers (a ring is walked under its

@@ -1,5 +1,5 @@
-// Single-producer / single-consumer ring buffer (Lamport queue), fronting
-// every client reply endpoint.
+// Single-producer / single-consumer ring buffer (Lamport queue): every
+// client reply endpoint is one of these and nothing else.
 //
 // The ring itself is strictly SPSC: one atomic index per side, each side's
 // fields written by one party at a time. A reply endpoint, though, can have
@@ -7,21 +7,18 @@
 // worker that stole the request, or a reaper serving a dead worker's
 // backlog all answer the same client. They share the ring through
 // producer_lock(), one RobustSpinlock every producer holds across its
-// whole routing decision (ring while the overflow queue is empty, else the
-// overflow queue — see NativePlatform's endpoint routing). The consumer
-// takes it only to read the overflow queue. On a single-server channel the
-// lock is never contended and stays in the server's cache.
+// enqueue. The lock is producers-only: the consumer never takes it. On a
+// single-server channel it is never contended and stays in the server's
+// cache. A full ring is the endpoint's queue-full condition, handled by the
+// protocols' flow control like any other full queue.
 //
 // A producer SIGKILLed while holding the lock needs no repair: before its
 // head publish it leaves at most a written but unpublished slot, which the
 // next holder (who steals the lock) simply overwrites; after it, the
-// message is published and complete. A death inside the overflow queue's
-// enqueue or dequeue is repaired by that queue's own lock steal or
-// helping.
+// message is published and complete.
 //
-// Also used by ablation benches to quantify what the two-lock queue costs
-// relative to the cheapest possible correct queue, and by the task_farm
-// example for its result channels (each with one producer, no lock).
+// Also used on its own by the queue micro-benches, to price the node
+// queues against the cheapest possible correct queue.
 #pragma once
 
 #include <algorithm>
@@ -195,9 +192,8 @@ class SpscRing {
   }
 
   /// Serializes the ring's producers (see the file comment). Uncontended
-  /// on single-producer endpoints. Besides the producers, only the
-  /// consumer reading the overflow queue and recovery code that drains or
-  /// walks the ring on a live channel take it.
+  /// on single-producer endpoints. Besides the producers, only recovery
+  /// code that drains or walks the ring on a live channel takes it.
   [[nodiscard]] RobustSpinlock& producer_lock() noexcept {
     return producer_lock_;
   }

@@ -1,7 +1,8 @@
 // NativePlatform: the Platform-concept implementation over real operating
 // system facilities — this is the deployable library.
 //
-//   queues     : Michael & Scott two-lock queues in shared memory
+//   queues     : Michael & Scott queues (two-lock or lock-free) on the
+//                receive endpoints, SPSC rings on the client reply ones
 //   awake flag : seq_cst test-and-set word in shared memory
 //   semaphore  : futex-based (modern) or SysV (the paper's primitive),
 //                selected per platform instance
@@ -50,17 +51,13 @@ enum class SemKind : std::uint8_t {
 /// and the semaphore its consumer sleeps on (both kinds are embedded; the
 /// platform's SemKind selects which one is used).
 ///
-/// Every client reply endpoint also carries an SpscRing as the fast path;
-/// `ring` stays unset on the MPSC receive endpoints (the server's and the
-/// pool's shards). Routing (see enqueue/dequeue below) keeps FIFO order
-/// across the two structures: producers, serialized by the ring's producer
-/// lock, use the ring only while the overflow queue (a MsgQueue of either
-/// engine) is empty, so a message in the overflow queue is always newer
-/// than everything in the ring, and the consumer takes the overflow queue
-/// only once the ring is empty.
+/// The queue is exactly one of two structures. A client reply endpoint is
+/// an SpscRing, whose producers share its producer lock; the MPSC receive
+/// endpoints (the server's and the pool's shards) are a MsgQueue of either
+/// engine.
 struct NativeEndpoint {
-  OffsetPtr<MsgQueue> queue;
-  OffsetPtr<SpscRing> ring;  // null on receive endpoints
+  OffsetPtr<MsgQueue> queue;  // null on reply endpoints
+  OffsetPtr<SpscRing> ring;   // null on receive endpoints
   AwakeFlag awake;
   FutexSemaphore fsem;
   SysvSemHandle vsem;
@@ -134,17 +131,10 @@ class NativePlatform {
 
   // ---- queue ----
   //
-  // FIFO across ring + overflow queue: producers decide where a message
-  // lands one at a time, under the ring's producer lock, and spill to the
-  // overflow queue exactly when the ring is full or the overflow queue is
-  // non-empty — so every overflow message is newer than everything in the
-  // ring, and the consumer takes the ring first. The consumer reads the
-  // overflow queue only under the same lock, after finding the ring empty
-  // there: checked without it, producers could refill the ring and spill a
-  // newer message into the queue between the check and the dequeue. The
-  // consumer pays that lock only while the overflow queue holds messages.
-  // A steal of the lock from a dead holder needs no repair (see
-  // queue/spsc_ring.hpp).
+  // Each op works on the endpoint's ring if it has one, else its queue.
+  // Ring producers hold the ring's producer lock (a reply endpoint may
+  // have several repliers); the consumer side is lock-free. A steal of the
+  // lock from a dead holder needs no repair (see queue/spsc_ring.hpp).
 
   // Every enqueue peeks a span stamp first (a mint, the adopted inbound
   // span for a reply, or untraced — see span_next_stamp) and COMMITS it via
@@ -156,8 +146,7 @@ class NativePlatform {
     bool sent;
     if (SpscRing* r = ep.ring.get()) {
       RobustGuard producers(r->producer_lock());
-      sent = (ep.queue->empty() && r->enqueue(msg, st)) ||
-             ep.queue->enqueue(msg, st);
+      sent = r->enqueue(msg, st);
     } else {
       sent = ep.queue->enqueue(msg, st);
     }
@@ -167,22 +156,14 @@ class NativePlatform {
   bool dequeue(Endpoint& ep, Message* out) noexcept {
     SpanStamp st{};
     SpanStamp* sp = obs::kTraceCompiledIn ? &st : nullptr;
-    bool got;
-    if (SpscRing* r = ep.ring.get()) {
-      got = r->dequeue(out, sp);
-      if (!got && !ep.queue->empty()) {
-        RobustGuard producers(r->producer_lock());
-        got = r->dequeue(out, sp) || ep.queue->dequeue(out, sp);
-      }
-    } else {
-      got = ep.queue->dequeue(out, sp);
-    }
+    SpscRing* r = ep.ring.get();
+    const bool got = r ? r->dequeue(out, sp) : ep.queue->dequeue(out, sp);
     if (got) span_note_received(ep, st);
     return got;
   }
   bool queue_empty(Endpoint& ep) noexcept {
     SpscRing* r = ep.ring.get();
-    return (!r || r->empty()) && ep.queue->empty();
+    return r ? r->empty() : ep.queue->empty();
   }
 
   std::uint32_t enqueue_batch(Endpoint& ep, const Message* msgs,
@@ -190,14 +171,10 @@ class NativePlatform {
     // One stamp per batch, on the first message that lands (fidelity
     // degrades to one sampled span per flush on batched paths).
     const SpanStamp st = span_next_stamp();
-    std::uint32_t done = 0;
+    std::uint32_t done;
     if (SpscRing* r = ep.ring.get()) {
       RobustGuard producers(r->producer_lock());
-      if (ep.queue->empty()) done = r->enqueue_batch(msgs, n, st);
-      if (done < n) {
-        done += ep.queue->enqueue_batch(msgs + done, n - done,
-                                        done == 0 ? st : SpanStamp{});
-      }
+      done = r->enqueue_batch(msgs, n, st);
     } else {
       done = ep.queue->enqueue_batch(msgs, n, st);
     }
@@ -208,20 +185,9 @@ class NativePlatform {
                               std::uint32_t max) noexcept {
     SpanStamp st{};
     SpanStamp* sp = obs::kTraceCompiledIn ? &st : nullptr;
-    std::uint32_t got;
-    if (SpscRing* r = ep.ring.get()) {
-      // A short ring batch is returned as is (the caller comes back for
-      // more): the ring may still hold older messages than the overflow
-      // queue's, past a stale producer-index cache.
-      got = r->dequeue_batch(out, max, sp);
-      if (got == 0 && !ep.queue->empty()) {
-        RobustGuard producers(r->producer_lock());
-        got = r->dequeue_batch(out, max, sp);
-        if (got == 0) got = ep.queue->dequeue_batch(out, max, sp);
-      }
-    } else {
-      got = ep.queue->dequeue_batch(out, max, sp);
-    }
+    SpscRing* r = ep.ring.get();
+    const std::uint32_t got = r ? r->dequeue_batch(out, max, sp)
+                                : ep.queue->dequeue_batch(out, max, sp);
     span_note_received(ep, st);
     return got;
   }

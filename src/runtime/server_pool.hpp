@@ -8,10 +8,9 @@
 // endpoints. Clients pick a shard at connect time through the shared
 // PoolShardMap (least-loaded or rendezvous placement) and re-read their
 // assignment before every request, so re-placement after a worker death is
-// transparent to them. Replies land in each client's SPSC reply ring (its
-// overflow queue past a full ring): stealing and migration make the reply
-// direction multi-producer, so every worker replies under the ring's
-// producer lock (see queue/spsc_ring.hpp).
+// transparent to them. Replies land in each client's SPSC reply ring:
+// stealing and migration make the reply direction multi-producer, so every
+// worker replies under the ring's producer lock (see queue/spsc_ring.hpp).
 //
 // Each worker loop:
 //   * receives on its own shard with the protocol's timed receive, then
@@ -196,12 +195,12 @@ PoolWorkerResult run_pool_worker(ShmChannel& channel, Proto proto,
       if (st == Status::kOk) p.counters().replies += n;
       // Data requests from a departed seat are a corpse's leftovers. If a
       // reaper already drained the seat, these replies would sit in its
-      // ring or queue for good: reclaim_client marks the seat before its
-      // drain, and the enqueue above fences after publishing, so whichever
-      // of the two comes second sees the other's write. Under the recovery
-      // lock the reap has finished; a seat re-registered since belongs to a
-      // new client and keeps its replies. Batches served by
-      // drain_and_serve already run under the recovery lock.
+      // ring for good: reclaim_client marks the seat before its drain, and
+      // the enqueue above fences after publishing, so whichever of the two
+      // comes second sees the other's write. Under the recovery lock the
+      // reap has finished; a seat re-registered since belongs to a new
+      // client and keeps its replies. Batches served by drain_and_serve
+      // already run under the recovery lock.
       if (!handshake &&
           hdr.client_departed[cid].load(std::memory_order_relaxed) != 0) {
         std::optional<RobustGuard> g;

@@ -1,6 +1,7 @@
 #include "runtime/shm_channel.hpp"
 
 #include <bit>
+#include <optional>
 #include <vector>
 
 #include "common/cacheline.hpp"
@@ -43,6 +44,18 @@ std::uint32_t payload_slots_per_class(const ShmChannel::Config& cfg) {
   return 2 * cfg.max_clients + 4;
 }
 
+/// Slots in each client reply ring: twice the queue capacity, rounded up to
+/// a power of two. A full ring is the endpoint's queue-full condition.
+std::uint32_t reply_ring_slots(const ShmChannel::Config& cfg) {
+  return round_pow2(2 * cfg.queue_capacity);
+}
+
+/// Node-pool size: every queue (the server's and each shard's) full, plus
+/// its dummy and one spare node.
+std::uint32_t pool_node_count(const ShmChannel::Config& cfg) {
+  return (1 + cfg.shards) * (cfg.queue_capacity + 2);
+}
+
 PayloadPool::Config payload_plane_config(const ShmChannel::Config& cfg) {
   PayloadPool::Config pc;
   pc.min_bytes = 64;
@@ -54,26 +67,22 @@ PayloadPool::Config payload_plane_config(const ShmChannel::Config& cfg) {
 }  // namespace
 
 std::size_t ShmChannel::required_bytes(const Config& cfg) {
-  // Header + pool header + nodes + (1 + clients) * (endpoint + queue),
-  // each rounded up for alignment, plus generous slack.
-  const std::size_t queues = cfg.max_clients + 1 + cfg.shards;
-  const std::size_t pool_nodes = queues * (cfg.queue_capacity + 2);
+  // Header + node pool + one endpoint per participant: a queue for the
+  // server and each shard, a reply ring for each client. Each is rounded up
+  // for alignment, plus generous slack.
+  const std::size_t queues = 1 + cfg.shards;
+  const std::size_t endpoints = queues + cfg.max_clients;
   std::size_t bytes = sizeof(ArenaHeader) + sizeof(ShmChannelHeader);
-  bytes += sizeof(NodePool) + pool_nodes * sizeof(MsgNode);
-  bytes += queues * (sizeof(NativeEndpoint) + sizeof(MsgQueue));
-  // SPSC rings on the client endpoints (slot count is the queue capacity
-  // rounded up to a power of two). Counted for every endpoint but the
-  // server's: the shard endpoints' share is slack.
-  std::size_t ring_slots = 1;
-  while (ring_slots < cfg.queue_capacity) ring_slots <<= 1;
-  bytes +=
-      (queues - 1) * (sizeof(SpscRing) + ring_slots * sizeof(SpscRing::Slot));
-  bytes += (2 * queues + 8) * 2 * kCacheLineSize;  // alignment slack
-  bytes += obs_block_bytes(cfg);                   // metrics + trace rings
+  bytes += sizeof(NodePool) + pool_node_count(cfg) * sizeof(MsgNode);
+  bytes += endpoints * sizeof(NativeEndpoint) + queues * sizeof(MsgQueue);
+  bytes += cfg.max_clients * (sizeof(SpscRing) +
+                              reply_ring_slots(cfg) * sizeof(SpscRing::Slot));
+  bytes += (2 * endpoints + 8) * 2 * kCacheLineSize;  // alignment slack
+  bytes += obs_block_bytes(cfg);                      // metrics + trace rings
   if (cfg.payload_max_bytes > 0) {
     bytes += PayloadPool::bytes_for(payload_plane_config(cfg));
   }
-  return align_up(bytes * 2, 4096);                // 2x safety margin
+  return align_up(bytes * 2, 4096);                   // 2x safety margin
 }
 
 ShmChannel ShmChannel::create(ShmRegion& region, const Config& cfg) {
@@ -96,42 +105,38 @@ ShmChannel ShmChannel::create(ShmRegion& region, const Config& cfg) {
   ch.header_->sysv_sem_id = ch.sem_set_.id();
   ch.owns_sysv_ = true;
 
-  const std::uint32_t pool_nodes =
-      (cfg.max_clients + 1 + cfg.shards) * (cfg.queue_capacity + 2);
-  NodePool* pool = NodePool::create(ch.arena_, pool_nodes);
+  NodePool* pool = NodePool::create(ch.arena_, pool_node_count(cfg));
   ch.header_->node_pool_offset = ch.arena_.to_offset(pool);
 
-  // `with_ring` fronts the endpoint's overflow queue with an SpscRing: every
-  // client reply endpoint has one. Its producers (the one server, or on a
-  // pool channel any worker that answers the client: owner, thief, reaper)
-  // share it through the ring's producer lock. The receive endpoints — the
-  // server's, and the pool's shards — have many producers and no ring.
-  auto build_endpoint = [&](std::uint32_t id, int sem_index, bool with_ring,
-                            QueueEngine engine) {
+  // The receive endpoints — the server's, and the pool's shards — have many
+  // producers and a node queue of the topology's `engine`. Every client
+  // reply endpoint (no engine) is an SpscRing instead; its producers (the
+  // one server, or on a pool channel any worker that answers the client:
+  // owner, thief, reaper) share it through the ring's producer lock.
+  auto build_endpoint = [&](std::uint32_t id, int sem_index,
+                            std::optional<QueueEngine> engine) {
     auto* ep = ch.arena_.construct<NativeEndpoint>();
-    ep->queue.set(
-        MsgQueue::create(ch.arena_, pool, cfg.queue_capacity, engine));
-    if (with_ring) {
-      ep->ring.set(SpscRing::create(ch.arena_, cfg.queue_capacity));
+    if (engine) {
+      ep->queue.set(
+          MsgQueue::create(ch.arena_, pool, cfg.queue_capacity, *engine));
+    } else {
+      ep->ring.set(SpscRing::create(ch.arena_, reply_ring_slots(cfg)));
     }
     ep->id = id;
     ep->vsem = ch.sem_set_.handle(sem_index);
     return ch.arena_.to_offset(ep);
   };
 
-  ch.header_->srv_ep_offset =
-      build_endpoint(0, 0, /*with_ring=*/false, cfg.engines.server);
+  ch.header_->srv_ep_offset = build_endpoint(0, 0, cfg.engines.server);
   for (std::uint32_t i = 0; i < cfg.max_clients; ++i) {
     ch.header_->client_ep_offset[i] =
-        build_endpoint(i, static_cast<int>(i) + 1, /*with_ring=*/true,
-                       cfg.engines.reply);
+        build_endpoint(i, static_cast<int>(i) + 1, std::nullopt);
   }
   if (cfg.shards > 0) {
     ch.header_->num_shards = cfg.shards;
     for (std::uint32_t s = 0; s < cfg.shards; ++s) {
       ch.header_->shard_ep_offset[s] = build_endpoint(
-          s, static_cast<int>(cfg.max_clients + s) + 1, /*with_ring=*/false,
-          cfg.engines.shard);
+          s, static_cast<int>(cfg.max_clients + s) + 1, cfg.engines.shard);
     }
     ch.header_->shard_map.init(cfg.shards);
   }
@@ -255,9 +260,6 @@ ShmChannel::ReclaimStats ShmChannel::reclaim_client(std::uint32_t i) noexcept {
 std::vector<MsgQueue*> ShmChannel::all_queues() {
   std::vector<MsgQueue*> queues;
   queues.push_back(server_endpoint().queue.get());
-  for (std::uint32_t c = 0; c < header_->max_clients; ++c) {
-    queues.push_back(client_endpoint(c).queue.get());
-  }
   for (std::uint32_t s = 0; s < header_->num_shards; ++s) {
     queues.push_back(shard_endpoint(s).queue.get());
   }
@@ -265,15 +267,11 @@ std::vector<MsgQueue*> ShmChannel::all_queues() {
 }
 
 std::uint32_t ShmChannel::drain_reply_endpoint(std::uint32_t i) noexcept {
-  NativeEndpoint& ep = client_endpoint(i);
-  std::uint32_t drained = 0;
-  if (SpscRing* r = ep.ring.get()) {
-    // The producer lock keeps live repliers out of the ring while drain()
-    // rewrites its producer-side fields; the seat's consumer is gone.
-    RobustGuard producers(r->producer_lock());
-    drained = r->drain();
-  }
-  return drained + ep.queue->drain();
+  SpscRing& ring = *client_endpoint(i).ring;
+  // The producer lock keeps live repliers out of the ring while drain()
+  // rewrites its producer-side fields; the seat's consumer is gone.
+  RobustGuard producers(ring.producer_lock());
+  return ring.drain();
 }
 
 RecoveryStats ShmChannel::sweep_leaked() {

@@ -6,7 +6,8 @@
 //   header { magic, config, endpoint offsets, SysV ids, barrier, reports }
 //   node pool (shared by all queues)
 //   server endpoint + queue
-//   per-client endpoint + queue
+//   per-client reply endpoint + ring
+//   per-shard endpoint + queue (pool channels)
 //
 // The same region works for fork()-children (anonymous mapping) and for
 // unrelated processes (named POSIX shm + attach()), because all internal
@@ -130,7 +131,7 @@ struct ShmChannelHeader {
   // first kind was already counted in pool_disconnected by the worker that
   // served the disconnect, so the reaper must reclaim the seat WITHOUT
   // counting a second departure. Workers also read it after replying, to
-  // catch a reply that landed in a reaped seat's queue after its drain.
+  // catch a reply that landed in a reaped seat's ring after its drain.
   std::atomic<std::uint8_t> client_departed[kMaxClients] = {};
 };
 
@@ -140,7 +141,9 @@ class ShmChannel {
  public:
   struct Config {
     std::uint32_t max_clients = 4;
-    std::uint32_t queue_capacity = 64;
+    std::uint32_t queue_capacity = 64;  // per receive queue; each client
+                                        // reply ring holds 2x this, rounded
+                                        // up to a power of two
     bool create_sysv_queues = false;  // allocate the SysV baseline transport
     std::uint32_t trace_ring_capacity = 1024;  // records per trace ring
                                                // (rounded up to a power of 2)
@@ -190,7 +193,7 @@ class ShmChannel {
   }
   /// Pool channels only: the receive endpoint worker `s` owns. All of a
   /// shard's clients (and any thief worker's dequeue_batch) share it, so it
-  /// is MPSC and carries no SPSC ring.
+  /// is a node queue, not an SPSC ring.
   [[nodiscard]] NativeEndpoint& shard_endpoint(std::uint32_t s) {
     ULIPC_INVARIANT(s < header_->num_shards && header_->shard_ep_offset[s] != 0,
                     "not a pool channel / bad shard index");
@@ -337,7 +340,7 @@ class ShmChannel {
   };
 
   /// Reclaims everything a crashed client left behind: drains its reply
-  /// endpoint, sweeps the node pool for nodes the corpse leaked
+  /// ring, sweeps the node pool for nodes the corpse leaked
   /// mid-operation, and vacates its seat. Serialized against
   /// concurrent reclaims by the header's recovery lock; safe to run while
   /// other clients keep trafficking the channel.
@@ -345,14 +348,13 @@ class ShmChannel {
 
   /// Every MsgQueue drawing from this channel's node pool — the exact
   /// list a recovery sweep must mark (a queue left out would have its
-  /// in-flight nodes misread as leaks). Includes shard queues on pool
-  /// channels.
+  /// in-flight nodes misread as leaks): the server's queue, plus the shard
+  /// queues on pool channels. Reply endpoints are rings and hold no nodes.
   [[nodiscard]] std::vector<MsgQueue*> all_queues();
 
-  /// Discards everything pending on client `i`'s reply endpoint — the ring
-  /// under its producer lock, then the overflow queue — and returns the
-  /// count. For a seat whose client is gone: the caller guarantees no
-  /// consumer.
+  /// Discards everything pending in client `i`'s reply ring (under its
+  /// producer lock) and returns the count. For a seat whose client is gone:
+  /// the caller guarantees no consumer.
   std::uint32_t drain_reply_endpoint(std::uint32_t i) noexcept;
 
   /// sweep_leaked_nodes over this channel's pool, queues, reply rings (the

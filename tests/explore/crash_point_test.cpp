@@ -56,7 +56,7 @@ class CrashPointTest : public ::testing::TestWithParam<QueueEngine> {
     ShmChannel::Config cfg;
     cfg.max_clients = 4;
     cfg.queue_capacity = 16;
-    cfg.engines.server = cfg.engines.reply = cfg.engines.shard = GetParam();
+    cfg.engines.server = cfg.engines.shard = GetParam();
     region_ = ShmRegion::create_anonymous(ShmChannel::required_bytes(cfg));
     channel_.emplace(ShmChannel::create(region_, cfg));
     free0_ = channel_->node_pool().free_count();

@@ -103,7 +103,7 @@ Interleaving1Run run_interleaving1(const std::vector<std::uint32_t>& sched,
   ShmChannel::Config cfg;
   cfg.max_clients = 4;
   cfg.queue_capacity = 16;
-  cfg.engines.server = cfg.engines.reply = cfg.engines.shard = engine;
+  cfg.engines.server = cfg.engines.shard = engine;
   ShmRegion region = ShmRegion::create_anonymous(ShmChannel::required_bytes(cfg));
   ShmChannel channel = ShmChannel::create(region, cfg);
   NativeEndpoint& ep = channel.server_endpoint();
@@ -202,7 +202,7 @@ Interleaving2Run run_interleaving2(const std::vector<std::uint32_t>& sched,
   ShmChannel::Config cfg;
   cfg.max_clients = 4;
   cfg.queue_capacity = 16;
-  cfg.engines.server = cfg.engines.reply = cfg.engines.shard = engine;
+  cfg.engines.server = cfg.engines.shard = engine;
   ShmRegion region = ShmRegion::create_anonymous(ShmChannel::required_bytes(cfg));
   ShmChannel channel = ShmChannel::create(region, cfg);
   NativeEndpoint& ep = channel.server_endpoint();

@@ -8,6 +8,7 @@
 //   * after publishing a payload-bearing reply: the reply sits in a live
 //     client's ring with a dead holder's payload slot, which the recovery
 //     sweep must keep until the client has read it.
+// The invariant checker's sleep/wake test must read the ring, too.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -193,6 +194,42 @@ TEST_F(PoolReplyRingCrashTest, SweepPinsPayloadPendingInLiveClientsRing) {
   EXPECT_EQ(plane_->free_count(), pfree0_);
   EXPECT_EQ(channel_->node_pool().free_count(), nfree0_);
   EXPECT_TRUE(invariants().ok()) << invariants().to_string();
+}
+
+// The invariant checker judges a reply endpoint's sleep/wake state by its
+// ring. A reply waiting while the client is marked asleep with no token
+// banked is a lost wake-up; an empty ring with a banked token is a stale
+// one. A checker that skipped reply endpoints would pass both.
+using PoolReplyRingInvariantTest = PoolReplyRingCrashTest;
+
+TEST_F(PoolReplyRingInvariantTest, LostWakeupOnReplyRingIsReported) {
+  NativeEndpoint& ep = reply_ep();
+  const auto check = [&] {
+    return explore::check_invariants(channel_->node_pool(),
+                                     channel_->all_queues(), plane_, {&ep})
+        .to_string();
+  };
+  ASSERT_EQ(check(), "ok") << "an idle reply endpoint is consistent";
+
+  NativePlatform p;
+  ASSERT_TRUE(p.enqueue(ep, Message(Op::kEcho, 0, 1.0)));
+  p.clear_awake(ep);
+  ASSERT_EQ(ep.fsem.value(), 0u);
+  EXPECT_NE(check().find("endpoint 0: lost wake-up"), std::string::npos)
+      << check();
+
+  p.sem_v(ep);  // the wake the producer owed: consistent again
+  EXPECT_EQ(check(), "ok");
+
+  Message m;
+  ASSERT_TRUE(p.dequeue(ep, &m));  // consumed without absorbing the token
+  EXPECT_NE(check().find("endpoint 0: stale semaphore token"),
+            std::string::npos)
+      << check();
+
+  p.sem_p(ep);
+  p.set_awake(ep);
+  EXPECT_EQ(check(), "ok");
 }
 
 }  // namespace

@@ -28,25 +28,23 @@ TEST(QueueEnginePolicy, BareNameAppliesToEveryTopology) {
   setenv("ULIPC_QUEUE_ENGINE", "lockfree", 1);
   const QueueEnginePolicy p = QueueEnginePolicy::from_env();
   EXPECT_EQ(p.server, QueueEngine::kLockFree);
-  EXPECT_EQ(p.reply, QueueEngine::kLockFree);
   EXPECT_EQ(p.shard, QueueEngine::kLockFree);
   unsetenv("ULIPC_QUEUE_ENGINE");
 }
 
 TEST(QueueEnginePolicy, PerTopologyListPinsIndividually) {
-  setenv("ULIPC_QUEUE_ENGINE", "server=lockfree,shard=lock-free", 1);
+  setenv("ULIPC_QUEUE_ENGINE", "server=lock-free,shard=twolock", 1);
   const QueueEnginePolicy p = QueueEnginePolicy::from_env();
   EXPECT_EQ(p.server, QueueEngine::kLockFree);
-  EXPECT_EQ(p.reply, QueueEnginePolicy::defaults().reply);
-  EXPECT_EQ(p.shard, QueueEngine::kLockFree);
+  EXPECT_EQ(p.shard, QueueEngine::kTwoLock);
   unsetenv("ULIPC_QUEUE_ENGINE");
 }
 
 TEST(QueueEnginePolicy, GarbageIsIgnoredNotFatal) {
-  setenv("ULIPC_QUEUE_ENGINE", "mystery,shard=alien,reply=lf", 1);
+  setenv("ULIPC_QUEUE_ENGINE", "mystery,shard=alien,color=twolock,server=lf",
+         1);
   const QueueEnginePolicy p = QueueEnginePolicy::from_env();
-  EXPECT_EQ(p.server, QueueEnginePolicy::defaults().server);
-  EXPECT_EQ(p.reply, QueueEngine::kLockFree);  // the one valid item
+  EXPECT_EQ(p.server, QueueEngine::kLockFree);  // the one valid item
   EXPECT_EQ(p.shard, QueueEnginePolicy::defaults().shard);
   unsetenv("ULIPC_QUEUE_ENGINE");
 }

@@ -50,6 +50,26 @@ TEST_F(NativePlatformTest, EnqueueReportsFull) {
   EXPECT_FALSE(p.enqueue(srv(), Message(Op::kEcho, 0, 0.0)));
 }
 
+// A reply endpoint is its ring alone, sized at twice the queue capacity:
+// with queue_capacity = 8 it takes exactly 16 replies, then reports full
+// (the protocols' queue-full path takes over from there).
+using SpscRingReplyEndpointTest = NativePlatformTest;
+
+TEST_F(SpscRingReplyEndpointTest, HoldsTwiceTheQueueCapacity) {
+  NativePlatform p;
+  NativeEndpoint& ep = channel_->client_endpoint(0);
+  for (int i = 0; i < 16; ++i) {
+    EXPECT_TRUE(p.enqueue(ep, Message(Op::kEcho, 0, double(i)))) << i;
+  }
+  EXPECT_FALSE(p.enqueue(ep, Message(Op::kEcho, 0, 16.0)));
+  Message m;
+  for (int i = 0; i < 16; ++i) {
+    ASSERT_TRUE(p.dequeue(ep, &m));
+    EXPECT_DOUBLE_EQ(m.value, double(i));
+  }
+  EXPECT_TRUE(p.queue_empty(ep));
+}
+
 TEST_F(NativePlatformTest, AwakeFlagSemantics) {
   NativePlatform p;
   EXPECT_TRUE(p.awake_is_set(srv()));
@@ -145,11 +165,10 @@ TEST_F(NativePlatformTest, YieldAndBusyWaitReturn) {
 
 // A client reply endpoint with several repliers: four producer threads
 // push batches through NativePlatform::enqueue_batch while one consumer
-// drains it. The ring (8 slots) and its overflow queue (8) are both small,
-// so producers keep spilling into the overflow queue and coming back to
-// the ring. Every message must arrive exactly once, and each producer's in
-// the order it sent them — which needs the producers serialized across the
-// whole ring-or-overflow decision by the ring's producer lock.
+// drains it. The ring is small (16 slots), so it keeps filling, and
+// producers retry the rest of a batch once it has room. Every message must
+// arrive exactly once, and each producer's in the order it sent them —
+// which needs the producers serialized by the ring's producer lock.
 using SpscRingMultiProducerTest = NativePlatformTest;
 
 TEST_F(SpscRingMultiProducerTest, FourBatchProducersKeepPerProducerFifo) {
@@ -160,13 +179,15 @@ TEST_F(SpscRingMultiProducerTest, FourBatchProducersKeepPerProducerFifo) {
 
   // A broken ring can wedge either side (full forever, or a head behind
   // the tail): every loop also stops at this deadline, so a defect fails
-  // the test instead of hanging it.
+  // the test instead of hanging it. The clock is read only on the idle
+  // path: a clock read between every two enqueues spaces the producers out
+  // so much that they hardly ever race, even without the lock.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
   const auto expired = [&] {
     return std::chrono::steady_clock::now() > deadline;
   };
-  std::atomic<bool> overflow_seen{false};
+  std::atomic<bool> full_seen{false};
   std::atomic<std::uint32_t> finished{0};
   std::vector<std::thread> producers;
   for (std::uint32_t id = 0; id < kProducers; ++id) {
@@ -174,7 +195,7 @@ TEST_F(SpscRingMultiProducerTest, FourBatchProducersKeepPerProducerFifo) {
       NativePlatform p;
       Message burst[7];
       std::uint32_t seq = 0;
-      while (seq < kPerProducer && !expired()) {
+      while (seq < kPerProducer) {
         // Batch sizes cycle 1..7, so batches straddle the ring's end.
         const std::uint32_t n =
             std::min(1 + seq % 7, kPerProducer - seq);
@@ -182,40 +203,44 @@ TEST_F(SpscRingMultiProducerTest, FourBatchProducersKeepPerProducerFifo) {
           burst[i] = Message(Op::kEcho, id, static_cast<double>(seq + i));
         }
         std::uint32_t done = 0;
-        while (done < n && !expired()) {
+        while (done < n) {
           const std::uint32_t k = p.enqueue_batch(ep, burst + done, n - done);
-          if (!ep.queue->empty()) {
-            overflow_seen.store(true, std::memory_order_relaxed);
+          if (k < n - done) full_seen.store(true, std::memory_order_relaxed);
+          if (k == 0) {
+            if (expired()) break;
+            sched_yield();
           }
-          if (k == 0) sched_yield();
           done += k;
         }
+        if (done < n) break;
         seq += n;
       }
       finished.fetch_add(1, std::memory_order_release);
     });
   }
 
-  // Hold the consumer back until the overflow queue has taken messages, so
-  // the spill-and-return path is exercised on every run.
-  while (!overflow_seen.load(std::memory_order_relaxed) && !expired()) {
+  // Hold the consumer back until a producer has found the ring full, so the
+  // retry-on-full path is exercised on every run.
+  while (!full_seen.load(std::memory_order_relaxed) && !expired()) {
     sched_yield();
   }
-  EXPECT_TRUE(overflow_seen.load()) << "the overflow path never ran";
+  EXPECT_TRUE(full_seen.load()) << "the ring never filled";
 
   // Consume until every producer has finished and the endpoint is empty
   // (the finished count is read before the dequeue that comes back empty).
+  // Small batches keep the ring near full, so the producers keep racing
+  // for the same few free slots.
   NativePlatform c;
   std::array<std::uint32_t, kProducers> next{};
   std::uint32_t misordered = 0;
   std::uint32_t received = 0;
-  Message out[16];
-  while (received <= kProducers * kPerProducer && !expired()) {
+  Message out[4];
+  while (received <= kProducers * kPerProducer) {
     const bool all_sent =
         finished.load(std::memory_order_acquire) == kProducers;
-    const std::uint32_t k = c.dequeue_batch(ep, out, 16);
+    const std::uint32_t k = c.dequeue_batch(ep, out, 4);
     if (k == 0) {
-      if (all_sent) break;
+      if (all_sent || expired()) break;
       sched_yield();
       continue;
     }

@@ -36,7 +36,7 @@ TEST_P(RecoveryChurnTest, SweepRacingLiveChurnReclaimsNothingAndLosesNothing) {
   cfg.max_clients = kClients;
   cfg.queue_capacity = 64;
   cfg.shards = kWorkers;
-  cfg.engines.server = cfg.engines.reply = cfg.engines.shard = GetParam();
+  cfg.engines.server = cfg.engines.shard = GetParam();
   ShmRegion region =
       ShmRegion::create_anonymous(ShmChannel::required_bytes(cfg));
   ShmChannel channel = ShmChannel::create(region, cfg);

@@ -101,10 +101,10 @@ TEST_F(ResilienceTest, StaleReplyIsDroppedNotReturned) {
   ResilientPoolClient client(*channel_, 0, cfg);
 
   // A reply from a superseded attempt is already waiting in the client's
-  // queue: right channel, wrong tag. The first real request uses tag 1, so
+  // reply ring: right channel, wrong tag. The first real request uses tag 1, so
   // tag 999 can never match.
   NativeEndpoint& mine = channel_->client_endpoint(0);
-  ASSERT_TRUE(mine.queue->enqueue(Message(Op::kEcho, 0, 42.0, 999)));
+  ASSERT_TRUE(mine.ring->enqueue(Message(Op::kEcho, 0, 42.0, 999)));
 
   Message ans;
   ans.value = -1.0;
@@ -112,7 +112,7 @@ TEST_F(ResilienceTest, StaleReplyIsDroppedNotReturned) {
             RequestOutcome::kTimedOut)
       << "the stale reply must not satisfy the request";
   EXPECT_EQ(client.stats().stale_dropped, 1u);
-  EXPECT_TRUE(mine.queue->empty()) << "the stale reply was consumed";
+  EXPECT_TRUE(mine.ring->empty()) << "the stale reply was consumed";
 }
 
 TEST_F(ResilienceTest, BackoffGrowsExponentiallyCapsAndJittersDown) {

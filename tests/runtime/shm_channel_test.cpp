@@ -14,15 +14,27 @@ ShmChannel::Config small_config() {
   return cfg;
 }
 
+// Every channel shape must fit the size required_bytes() reports: plain
+// and pool channels (one shard and kMaxShards), with and without a payload
+// plane. The arena throws when an allocation runs past the region.
 TEST(ShmChannel, RequiredBytesSufficesForCreate) {
   for (std::uint32_t clients : {1u, 4u, kMaxClients}) {
-    ShmChannel::Config cfg;
-    cfg.max_clients = clients;
-    cfg.queue_capacity = 128;
-    cfg.create_sysv_queues = true;
-    ShmRegion region =
-        ShmRegion::create_anonymous(ShmChannel::required_bytes(cfg));
-    EXPECT_NO_THROW({ ShmChannel ch = ShmChannel::create(region, cfg); });
+    for (std::uint32_t shards : {0u, 1u, kMaxShards}) {
+      if (shards > clients) continue;
+      for (std::uint32_t payload_max : {0u, 65536u}) {
+        ShmChannel::Config cfg;
+        cfg.max_clients = clients;
+        cfg.queue_capacity = 128;
+        cfg.create_sysv_queues = true;
+        cfg.shards = shards;
+        cfg.payload_max_bytes = payload_max;
+        ShmRegion region =
+            ShmRegion::create_anonymous(ShmChannel::required_bytes(cfg));
+        EXPECT_NO_THROW({ ShmChannel ch = ShmChannel::create(region, cfg); })
+            << clients << " clients, " << shards << " shards, payloads up to "
+            << payload_max << " B";
+      }
+    }
   }
 }
 
@@ -34,14 +46,18 @@ TEST(ShmChannel, EndpointsAreDistinctAndUsable) {
 
   NativeEndpoint& srv = ch.server_endpoint();
   EXPECT_TRUE(srv.queue->empty());
+  EXPECT_FALSE(srv.ring) << "the receive endpoint is a node queue";
   for (std::uint32_t i = 0; i < cfg.max_clients; ++i) {
     NativeEndpoint& ep = ch.client_endpoint(i);
     EXPECT_NE(&ep, &srv);
     EXPECT_EQ(ep.id, i);
-    EXPECT_TRUE(ep.queue->empty());
-    ASSERT_TRUE(ep.queue->enqueue(Message(Op::kEcho, i, 1.0)));
+    EXPECT_FALSE(ep.queue) << "reply endpoint " << i << " owns a MsgQueue";
+    SpscRing* ring = ep.ring.get();
+    ASSERT_NE(ring, nullptr);
+    EXPECT_TRUE(ring->empty());
+    ASSERT_TRUE(ring->enqueue(Message(Op::kEcho, i, 1.0)));
     Message m;
-    ASSERT_TRUE(ep.queue->dequeue(&m));
+    ASSERT_TRUE(ring->dequeue(&m));
     EXPECT_EQ(m.channel, i);
   }
 }
