@@ -14,12 +14,10 @@
 //
 // Wake-up accounting (wk/msg, coal/msg) is read from the channel's shared
 // metrics registry after the children exit — the same numbers `ulipc-stat`
-// shows on a live run. --registry-dump additionally prints one
-// "[registry] {...}" JSON line per protocol for record_bench.sh; the line
-// carries the span plane's per-phase percentiles (queue residency, wake in
-// flight, service, reply path — sampled 1-in-2^ULIPC_SPAN_SHIFT) so the
-// perf trajectory tracks WHERE round-trip time goes, not just how much.
-// --phases additionally prints those phases as a human-readable table.
+// shows on a live run. --phases additionally prints the span plane's
+// per-phase percentiles (queue residency, wake in flight, service, reply
+// path — sampled 1-in-2^ULIPC_SPAN_SHIFT), WHERE round-trip time goes and
+// not just how much.
 #include <sched.h>
 
 #include <algorithm>
@@ -188,50 +186,6 @@ LatencyReport run_protocol(ProtocolKind kind, std::uint64_t messages,
   report.coalesced_per_msg =
       static_cast<double>(sc.wakeups_coalesced + cc2.wakeups_coalesced) / m;
   return report;
-}
-
-/// --registry-dump: one machine-parseable line per protocol with the
-/// registry's own view of the run (record_bench.sh folds these into the
-/// perf snapshot).
-void dump_registry_line(ProtocolKind kind, std::uint64_t messages,
-                        std::uint32_t window, const LatencyReport& r) {
-  const auto& sc = r.server_slot.counters;
-  const auto& cc = r.client_slot.counters;
-  const auto& rt = r.client_slot.h(obs::HistKind::kRoundTripNs);
-  const auto& slp = r.server_slot.h(obs::HistKind::kSleepNs);
-  // Span-plane phase histograms: the serving side records queue residency,
-  // service time, and the request-leg wake in flight; the client side
-  // records the reply path and the reply-leg wake in flight.
-  const auto& qres = r.server_slot.h(obs::HistKind::kQueueResidencyNs);
-  const auto& svc = r.server_slot.h(obs::HistKind::kServiceNs);
-  const auto& wreq = r.server_slot.h(obs::HistKind::kWakeInFlightNs);
-  const auto& rply = r.client_slot.h(obs::HistKind::kReplyPathNs);
-  const auto& wrep = r.client_slot.h(obs::HistKind::kWakeInFlightNs);
-  std::printf(
-      "[registry] {\"protocol\":\"%s\",\"messages\":%llu,\"window\":%u,"
-      "\"wakeups\":%llu,\"wakeups_coalesced\":%llu,\"server_blocks\":%llu,"
-      "\"client_blocks\":%llu,\"spin_fallthroughs\":%llu,"
-      "\"rt_count\":%llu,\"rt_p50_ns\":%.0f,\"rt_p99_ns\":%.0f,"
-      "\"sleep_p50_ns\":%.0f,"
-      "\"span_samples\":%llu,\"span_qres_p50_ns\":%.0f,"
-      "\"span_qres_p99_ns\":%.0f,\"span_service_p50_ns\":%.0f,"
-      "\"span_service_p99_ns\":%.0f,\"span_reply_p50_ns\":%.0f,"
-      "\"span_reply_p99_ns\":%.0f,\"span_wake_req_p50_ns\":%.0f,"
-      "\"span_wake_rep_p50_ns\":%.0f}\n",
-      protocol_name(kind), static_cast<unsigned long long>(messages), window,
-      static_cast<unsigned long long>(sc.wakeups + cc.wakeups),
-      static_cast<unsigned long long>(sc.wakeups_coalesced +
-                                      cc.wakeups_coalesced),
-      static_cast<unsigned long long>(sc.blocks),
-      static_cast<unsigned long long>(cc.blocks),
-      static_cast<unsigned long long>(sc.spin_fallthroughs +
-                                      cc.spin_fallthroughs),
-      static_cast<unsigned long long>(rt.count), rt.percentile(50),
-      rt.percentile(99), slp.percentile(50),
-      static_cast<unsigned long long>(qres.count), qres.percentile(50),
-      qres.percentile(99), svc.percentile(50), svc.percentile(99),
-      rply.percentile(50), rply.percentile(99), wreq.percentile(50),
-      wrep.percentile(50));
 }
 
 /// --phases: the span plane's per-phase latency breakdown as a table row
@@ -619,7 +573,7 @@ int run_fanin_bench(std::uint32_t channels, std::uint64_t messages,
 //             weak spot: ~2.5 us/op on this box vs ~50 ns uncontended);
 //   mpsc:     4 producer processes blasting one queue, one consumer —
 //             the pool-shard topology under idle-steal-style contention.
-// One "[engine] {...}" JSON line per engine for record_bench.sh.
+// One machine-readable "[engine] {...}" JSON line per engine.
 
 struct EngineReport {
   double pair_ns = 0;
@@ -769,7 +723,6 @@ int main(int argc, char** argv) {
   const std::uint64_t messages = args.messages(20'000);
   const bool pin = args.has_flag("pinned");
   const bool batched = args.has_flag("batched");
-  const bool registry_dump = args.has_flag("registry-dump");
   const bool phases = args.has_flag("phases");
   // --engine=twolock|lockfree|both selects the raw queue-engine bake-off
   // axis (uncontended pair, contended ping-pong, 4-producer MPSC through
@@ -833,7 +786,6 @@ int main(int argc, char** argv) {
                    TextTable::num(r.max, 1),
                    TextTable::num(r.wakeups_per_msg, 3),
                    TextTable::num(r.coalesced_per_msg, 3)});
-    if (registry_dump) dump_registry_line(kind, messages, window, r);
     if (phases && kind != ProtocolKind::kSysv) add_phase_rows(phase_table, kind, r);
   }
   table.render(std::cout);

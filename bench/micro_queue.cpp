@@ -30,8 +30,8 @@ struct QueueFixture {
 
 // Engine axis: each benchmark body is shared and registered once per
 // engine under an explicit name — the historical BM_TwoLock* series keeps
-// its exact names for bench_compare.py, and the BM_LockFree* twins land
-// next to them (an Arg() would suffix names with "/0" and break matching).
+// its exact names, and the BM_LockFree* twins land next to them (an Arg()
+// would suffix every name with "/0").
 void pair_body(benchmark::State& state, QueueEngine engine) {
   QueueFixture f(engine);
   const Message msg(Op::kEcho, 0, 1.0);

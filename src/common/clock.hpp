@@ -3,8 +3,8 @@
 // Throughput numbers in the paper are computed from "real elapsed time from
 // the first message request until the last client disconnects"; we use
 // CLOCK_MONOTONIC for that. The multiprocessor experiments additionally need
-// a calibrated busy-wait delay loop ("25 usec" poll slices, paper §5), which
-// must burn CPU without making system calls.
+// a busy-wait delay loop ("25 usec" poll slices, paper §5), which must burn
+// CPU without making system calls.
 #pragma once
 
 #include <cstdint>
@@ -26,40 +26,16 @@ inline std::int64_t thread_cpu_ns() noexcept {
   return static_cast<std::int64_t>(ts.tv_sec) * 1'000'000'000LL + ts.tv_nsec;
 }
 
-/// Calibrated busy-wait: spins (no syscalls) for approximately `ns`
-/// nanoseconds. First use in a process runs a one-time calibration.
+/// Busy-wait delay loop: spins until a CLOCK_MONOTONIC deadline `ns`
+/// nanoseconds away, so a call never returns early and needs no calibration.
+/// On Linux with a TSC clocksource now_ns() is a vDSO read (tens of ns), so
+/// the loop makes no system calls.
 class DelayLoop {
  public:
-  /// Spins for approximately ns nanoseconds.
   static void spin_ns(std::int64_t ns) noexcept {
-    const double ipn = iters_per_ns();
-    spin_iters(static_cast<std::uint64_t>(static_cast<double>(ns) * ipn) + 1);
-  }
-
-  /// Raw iteration spinner (each iteration is one forced memory update).
-  static void spin_iters(std::uint64_t iters) noexcept {
-    volatile std::uint64_t sink = 0;
-    for (std::uint64_t i = 0; i < iters; ++i) {
-      sink = sink + 1;
+    const std::int64_t deadline = now_ns() + ns;
+    while (now_ns() < deadline) {
     }
-  }
-
-  /// Iterations of spin_iters() per nanosecond on this machine (cached).
-  static double iters_per_ns() noexcept {
-    static const double cached = calibrate();
-    return cached;
-  }
-
- private:
-  static double calibrate() noexcept {
-    // Warm up, then time a block big enough to dwarf clock_gettime overhead.
-    spin_iters(100'000);
-    constexpr std::uint64_t kProbe = 2'000'000;
-    const std::int64_t t0 = now_ns();
-    spin_iters(kProbe);
-    const std::int64_t t1 = now_ns();
-    const std::int64_t elapsed = (t1 - t0) > 0 ? (t1 - t0) : 1;
-    return static_cast<double>(kProbe) / static_cast<double>(elapsed);
   }
 };
 

@@ -4,9 +4,9 @@
 //
 // The paper's evaluation uses the Michael & Scott two-lock queue, and that
 // remains the default engine. PR-4's idle-steal made pool shards genuinely
-// multi-consumer, and BENCH_baseline.json shows the two-lock design is the
-// contention ceiling there (~48 ns uncontended vs ~2.5 us under contended
-// ping-pong) — so the lock-free M&S engine (queue/lockfree_queue.hpp) can
+// multi-consumer, and the two-lock design is the contention ceiling there
+// (~48 ns uncontended vs ~2.5 us under contended ping-pong on a 1-CPU
+// host) — so the lock-free M&S engine (queue/lockfree_queue.hpp) can
 // be swapped in per topology behind the MsgQueue facade
 // (queue/msg_queue.hpp) without touching the protocol stack.
 //

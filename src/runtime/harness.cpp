@@ -99,9 +99,6 @@ NativeRunResult run_native_experiment(const NativeRunConfig& cfg) {
   ULIPC_INVARIANT(cfg.clients >= 1 && cfg.clients <= kMaxClients,
                   "client count out of range");
 
-  // Calibrate the delay loop before forking so children inherit the value.
-  DelayLoop::iters_per_ns();
-
   ShmChannel::Config cc;
   cc.max_clients = cfg.clients;
   cc.queue_capacity = cfg.queue_capacity;

@@ -7,8 +7,9 @@
 //   semaphore  : futex-based (modern) or SysV (the paper's primitive),
 //                selected per platform instance
 //   yield      : sched_yield(2)
-//   busy_wait  : sched_yield on a uniprocessor configuration, calibrated
-//                25 us delay slice on a multiprocessor one (paper §2.1/§5)
+//   busy_wait  : sched_yield on a uniprocessor configuration, a 25 us
+//                clock-deadline delay slice on a multiprocessor one
+//                (paper §2.1/§5)
 //
 // One NativePlatform instance lives in each process (its counters are
 // process-local); endpoints live in shared memory and are shared by all.

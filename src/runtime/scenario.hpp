@@ -30,7 +30,7 @@
 //     chaos.kill_after_replies.
 //
 // Every run yields a ScenarioResult whose json() line is what ulipc-perf
-// prints and record_bench.sh folds into BENCH_trajectory.jsonl.
+// prints.
 #pragma once
 
 #include <cstdint>
@@ -138,8 +138,7 @@ struct ScenarioResult {
            slo_nodes_conserved && slo_payloads_conserved;
   }
 
-  /// One machine-readable line (what `[scenario]` output and the bench
-  /// trajectory carry).
+  /// One machine-readable line (what `[scenario]` output carries).
   [[nodiscard]] std::string json() const;
 };
 
@@ -154,7 +153,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec);
 /// process drives a synchronous echo loop on its own channel; the SLOs are
 /// the scenario engine's no-lost-replies and node-conservation checks,
 /// audited per channel. The result's json() line carries the scenario name
-/// "fanin-waitset" and folds into BENCH_trajectory.jsonl like any other.
+/// "fanin-waitset" and prints like any other.
 struct FaninScenarioSpec {
   std::string name = "fanin-waitset";
   std::uint32_t channels = 64;     // one client process per channel

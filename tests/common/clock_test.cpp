@@ -26,26 +26,16 @@ TEST(Clock, ThreadCpuAdvancesUnderWork) {
   EXPECT_GT(after, before);
 }
 
-TEST(DelayLoop, CalibrationIsPositiveAndCached) {
-  const double a = DelayLoop::iters_per_ns();
-  const double b = DelayLoop::iters_per_ns();
-  EXPECT_GT(a, 0.0);
-  EXPECT_DOUBLE_EQ(a, b) << "calibration must be cached";
-}
-
-TEST(DelayLoop, SpinDurationRoughlyCalibrated) {
-  // The calibration and this measurement both race with other load on a
-  // shared CI box, so accept any of several attempts landing within a
-  // factor of ~6 of the requested duration.
-  constexpr std::int64_t kTarget = 5'000'000;  // 5 ms
-  bool in_band = false;
-  for (int attempt = 0; attempt < 5 && !in_band; ++attempt) {
-    const std::int64_t t0 = now_ns();
-    DelayLoop::spin_ns(kTarget);
-    const std::int64_t elapsed = now_ns() - t0;
-    in_band = elapsed > kTarget / 6 && elapsed < kTarget * 6;
+TEST(DelayLoop, SpinNeverReturnsEarly) {
+  // spin_ns waits for a clock deadline: however loaded the host, no call
+  // may return before its requested duration has passed (it may overrun).
+  for (const std::int64_t ns : {1'000LL, 25'000LL, 300'000LL, 5'000'000LL}) {
+    for (int i = 0; i < 5; ++i) {
+      const std::int64_t t0 = now_ns();
+      DelayLoop::spin_ns(ns);
+      EXPECT_GE(now_ns() - t0, ns) << "spin_ns(" << ns << ") returned early";
+    }
   }
-  EXPECT_TRUE(in_band);
 }
 
 TEST(TscClock, TicksAdvance) {

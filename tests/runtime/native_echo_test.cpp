@@ -182,6 +182,11 @@ TEST(NativeEcho, ServerWorkScalesLatency) {
   ASSERT_TRUE(rf.all_children_ok);
   ASSERT_TRUE(rs.all_children_ok);
   EXPECT_LT(rs.throughput_msgs_per_ms, rf.throughput_msgs_per_ms);
+  // One server doing 300 us of work per request cannot beat 1000/300
+  // msgs/ms. The window starts after the first request's work, so it holds
+  // 299 delays plus 300 round trips: the bound holds once a round trip
+  // costs more than 0.3 us. A delay that returns early breaks it.
+  EXPECT_LE(rs.throughput_msgs_per_ms, 1000.0 / 300.0);
 }
 
 TEST(NativeEcho, TinyQueueExercisesFlowControl) {

@@ -4,8 +4,8 @@
 // request-response, windowed streaming, fan-in, bursty on/off arrivals,
 // pareto-weighted compute, connect/disconnect churn — plus the churn+chaos
 // scenario that SIGKILLs a worker and a client mid-load and asserts the
-// recovery SLOs. One `[scenario] {json}` line per run is emitted for
-// bench/record_bench.sh to fold into BENCH_trajectory.jsonl.
+// recovery SLOs. One machine-readable `[scenario] {json}` line is printed
+// per run.
 //
 // This binary links ulipc_runtime_explore, so chaos victims SIGKILL
 // themselves at an armed crash point (deterministic per process) instead of
