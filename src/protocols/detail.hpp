@@ -64,6 +64,20 @@ void enqueue_and_wake(P& p, typename P::Endpoint& q, const Message& msg) {
   (void)enqueue_and_wake_until(p, q, msg, kNoDeadline);
 }
 
+/// Absorbs the token of a producer whose tas saw our cleared awake flag:
+/// its V is banked or in flight, so the P normally returns at once. It is
+/// bounded by the caller's deadline all the same — a producer SIGKILLed
+/// between its tas and its V never posts, and an untimed P would hang a
+/// deadline-bound consumer forever. If the P gives up, a late V leaves a
+/// stale token, which is benign: the next sleeper wakes, finds the queue
+/// empty at C.1, and sleeps again.
+template <Platform P>
+void absorb_until(P& p, typename P::Endpoint& q, std::int64_t deadline_ns) {
+  explore::about_to_block(explore::Point::kProtAbsorb);
+  (void)p.sem_p_until(q, deadline_ns);
+  explore::resumed();
+}
+
 /// Consumer side with a deadline: dequeue, sleeping on the endpoint's
 /// semaphore while the queue is empty, giving up once `deadline_ns` passes.
 /// `pre_busy_wait` inserts the BSWY hand-off hint at the top of each retry
@@ -118,11 +132,10 @@ Status dequeue_or_sleep_until(P& p, typename P::Endpoint& q, Message* out,
             // or in flight (the producer may sit between its tas and its
             // V), so this P returns promptly but MAY momentarily block.
             // The about_to_block bracket keeps the explore controller's
-            // floor free across that window.
+            // floor free across that window. The P is bounded by the
+            // deadline (already past here) — see absorb_until.
             ++p.counters().sem_absorbs;
-            explore::about_to_block(explore::Point::kProtAbsorb);
-            p.sem_p(q);
-            explore::resumed();
+            absorb_until(p, q, deadline_ns);
           }
           obs::dequeued(p, q);
           return Status::kOk;
@@ -147,9 +160,7 @@ Status dequeue_or_sleep_until(P& p, typename P::Endpoint& q, Message* out,
       // bracket the P for the explore controller exactly as above.
       if (p.tas_awake(q)) {
         ++p.counters().sem_absorbs;
-        explore::about_to_block(explore::Point::kProtAbsorb);
-        p.sem_p(q);
-        explore::resumed();
+        absorb_until(p, q, deadline_ns);
       }
       obs::dequeued(p, q);
       return Status::kOk;

@@ -1,7 +1,7 @@
-// MsgQueue: the engine-dispatching facade every layer above queue/ talks
-// to. A channel's endpoints hold OffsetPtr<MsgQueue>; which concurrent
-// FIFO actually backs each endpoint is a per-topology QueueEnginePolicy
-// decision (queue/queue_engine.hpp).
+// MsgQueue: the dispatching facade over the two node-queue engines. A
+// channel's receive endpoints hold an OffsetPtr<MsgQueue> when the
+// topology's QueueEnginePolicy picks a node engine (queue/queue_engine.hpp)
+// and a ring otherwise.
 //
 // Shared memory forbids vtables (a vptr is an absolute address valid in
 // one mapping only), so dispatch is a stored engine tag plus a switch over
@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/cacheline.hpp"
+#include "common/error.hpp"
 #include "queue/lockfree_queue.hpp"
 #include "queue/message.hpp"
 #include "queue/ms_two_lock_queue.hpp"
@@ -32,12 +33,15 @@ namespace ulipc {
 
 class MsgQueue {
  public:
-  /// Builds a queue of the requested engine in `arena`. Same contract as
-  /// the engines' own create(): nodes from `pool`, `capacity` 0 = bounded
-  /// only by pool exhaustion.
+  /// Builds a queue of the requested node engine in `arena` (kRing is not
+  /// one: a ring is an SpscRing). Same contract as the engines' own
+  /// create(): nodes from `pool`, `capacity` 0 = bounded only by pool
+  /// exhaustion.
   static MsgQueue* create(ShmArena& arena, NodePool* pool,
                           std::uint32_t capacity = 0,
                           QueueEngine engine = QueueEngine::kTwoLock) {
+    ULIPC_INVARIANT(engine != QueueEngine::kRing,
+                    "a ring is not a node queue: use SpscRing");
     auto* q = arena.construct<MsgQueue>();
     q->engine_ = static_cast<std::uint32_t>(engine);
     switch (engine) {
@@ -48,6 +52,8 @@ class MsgQueue {
       case QueueEngine::kLockFree:
         new (&q->impl_.lock_free) LockFreeQueue();
         q->impl_.lock_free.init(pool, capacity);
+        break;
+      case QueueEngine::kRing:
         break;
     }
     return q;

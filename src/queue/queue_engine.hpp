@@ -1,14 +1,13 @@
-// Queue-engine selection: which concurrent FIFO implementation backs each
-// node-queue topology of a channel (client reply endpoints are SPSC rings
-// and take no engine).
+// Queue-engine selection: which concurrent FIFO backs each receive
+// topology of a channel — the server's endpoint and the pool's shard
+// endpoints. Client reply endpoints are always rings and take no engine.
 //
-// The paper's evaluation uses the Michael & Scott two-lock queue, and that
-// remains the default engine. PR-4's idle-steal made pool shards genuinely
-// multi-consumer, and the two-lock design is the contention ceiling there
-// (~48 ns uncontended vs ~2.5 us under contended ping-pong on a 1-CPU
-// host) — so the lock-free M&S engine (queue/lockfree_queue.hpp) can
-// be swapped in per topology behind the MsgQueue facade
-// (queue/msg_queue.hpp) without touching the protocol stack.
+// The default engine is the two-lock ring (queue/spsc_ring.hpp with
+// Consumers::kShared): the Michael & Scott two-lock discipline on a
+// bounded array, with no node pool behind it. The paper's node queues —
+// the M&S two-lock queue and its lock-free sibling (queue/lockfree_queue.hpp),
+// both behind the MsgQueue facade (queue/msg_queue.hpp) — stay selectable
+// so the three can be raced on the same build; see DESIGN.md §18.
 //
 // Selection layers, strongest last:
 //   1. compile-time default    ULIPC_DEFAULT_QUEUE_ENGINE (CMake cache var,
@@ -18,8 +17,8 @@
 //                              comma list of per-topology overrides
 //                              ("server=lockfree,shard=twolock");
 //   3. explicit per-channel    ShmChannel::Config::engines.
-// CI pins engines via layer 2 so every suite runs against both; benches pin
-// via layer 2 or 3 so both engines' numbers land in the trajectory.
+// CI pins engines via layer 2 so every suite runs against all three;
+// benches pin via layer 2 or 3.
 #pragma once
 
 #include <cstdlib>
@@ -29,21 +28,27 @@
 namespace ulipc {
 
 enum class QueueEngine : std::uint8_t {
-  kTwoLock = 0,   // M&S two-lock (paper default): robust spinlocks + repair
-  kLockFree = 1,  // M&S lock-free: tagged-index CAS links + helping
+  kTwoLock = 0,   // M&S two-lock node queue (the paper's queue)
+  kLockFree = 1,  // M&S lock-free node queue: tagged-index CAS links
+  kRing = 2,      // two-lock ring: robust head/tail locks, no nodes
 };
 
 constexpr const char* queue_engine_name(QueueEngine e) noexcept {
   switch (e) {
     case QueueEngine::kTwoLock: return "twolock";
     case QueueEngine::kLockFree: return "lockfree";
+    case QueueEngine::kRing: return "ring";
   }
   return "?";
 }
 
-/// Parses an engine name ("twolock"/"lockfree"). Returns false (and leaves
-/// *out untouched) on anything else.
+/// Parses an engine name ("ring"/"twolock"/"lockfree"). Returns false (and
+/// leaves *out untouched) on anything else.
 inline bool parse_queue_engine(std::string_view s, QueueEngine* out) noexcept {
+  if (s == "ring") {
+    *out = QueueEngine::kRing;
+    return true;
+  }
   if (s == "twolock" || s == "two-lock" || s == "2lock") {
     *out = QueueEngine::kTwoLock;
     return true;
@@ -58,23 +63,22 @@ inline bool parse_queue_engine(std::string_view s, QueueEngine* out) noexcept {
 // Compile-time default, overridable from CMake:
 //   cmake -DULIPC_DEFAULT_QUEUE_ENGINE=lockfree
 #ifndef ULIPC_DEFAULT_QUEUE_ENGINE
-#define ULIPC_DEFAULT_QUEUE_ENGINE "twolock"
+#define ULIPC_DEFAULT_QUEUE_ENGINE "ring"
 #endif
 
 /// Per-topology engine choice. The two topologies have genuinely
 /// different contention shapes, so they are pinned independently:
 ///   server — the shared MPSC receive endpoint (every client produces);
-///   shard  — pool shard receive endpoints, MPMC since PR-4's idle-steal
-///            lets any worker consume any shard (the two-lock engine's
-///            worst case).
+///   shard  — pool shard receive endpoints, MPMC since idle-steal lets
+///            any worker consume any shard.
 struct QueueEnginePolicy {
-  QueueEngine server = QueueEngine::kTwoLock;
-  QueueEngine shard = QueueEngine::kTwoLock;
+  QueueEngine server = QueueEngine::kRing;
+  QueueEngine shard = QueueEngine::kRing;
 
   /// The compile-time default for every topology.
   static QueueEnginePolicy defaults() noexcept {
     QueueEnginePolicy p;
-    QueueEngine def = QueueEngine::kTwoLock;
+    QueueEngine def = QueueEngine::kRing;
     (void)parse_queue_engine(ULIPC_DEFAULT_QUEUE_ENGINE, &def);
     p.server = p.shard = def;
     return p;
@@ -90,7 +94,7 @@ struct QueueEnginePolicy {
     const char* env = std::getenv("ULIPC_QUEUE_ENGINE");
     if (env == nullptr || *env == '\0') return p;
     std::string_view rest(env);
-    QueueEngine all = QueueEngine::kTwoLock;
+    QueueEngine all = QueueEngine::kRing;
     if (parse_queue_engine(rest, &all)) {
       p.server = p.shard = all;
       return p;
@@ -103,7 +107,7 @@ struct QueueEnginePolicy {
       const std::size_t eq = item.find('=');
       if (eq == std::string_view::npos) continue;
       const std::string_view key = item.substr(0, eq);
-      QueueEngine e = QueueEngine::kTwoLock;
+      QueueEngine e = QueueEngine::kRing;
       if (!parse_queue_engine(item.substr(eq + 1), &e)) continue;
       if (key == "server") {
         p.server = e;

@@ -1,21 +1,36 @@
-// Single-producer / single-consumer ring buffer (Lamport queue): every
-// client reply endpoint is one of these and nothing else.
+// Bounded ring buffer (Lamport queue) in shared memory: every native
+// endpoint's queue. Client reply endpoints use it with a lock-free
+// consumer; the receive endpoints (the server's, each pool shard's) use
+// it as a two-lock ring.
 //
-// The ring itself is strictly SPSC: one atomic index per side, each side's
-// fields written by one party at a time. A reply endpoint, though, can have
-// more than one producer — on a pool channel the shard owner, an idle
-// worker that stole the request, or a reaper serving a dead worker's
-// backlog all answer the same client. They share the ring through
-// producer_lock(), one RobustSpinlock every producer holds across its
-// enqueue. The lock is producers-only: the consumer never takes it. On a
-// single-server channel it is never contended and stays in the server's
-// cache. A full ring is the endpoint's queue-full condition, handled by the
-// protocols' flow control like any other full queue.
+// The ring's core is strictly SPSC: one atomic index per side, each
+// side's fields written by one party at a time. A ring can still have more
+// than one party per side, serialized by one RobustSpinlock per side — the
+// Michael & Scott two-lock discipline on an array:
+//   * producers hold producer_lock() across an enqueue. A reply endpoint
+//     has several producers on a pool channel (the shard owner, an idle
+//     worker that stole the request, a reaper serving a dead worker's
+//     backlog all answer the same client); a receive endpoint has one per
+//     client. On a single-server channel a reply ring's lock is never
+//     contended and stays in the server's cache;
+//   * consumers of a receive ring (Consumers::kShared) hold
+//     consumer_lock() across a dequeue: the shard owner, a thief, a reaper
+//     draining a dead worker's shard. A reply ring (Consumers::kSingle)
+//     has one consumer, its client, which never takes the lock.
+// A full ring is the endpoint's queue-full condition, handled by the
+// protocols' flow control like any other full queue. A receive ring's
+// bound is exact (the channel's queue_capacity, in round_pow2 slots); a
+// reply ring's bound is its slot count.
 //
-// A producer SIGKILLed while holding the lock needs no repair: before its
-// head publish it leaves at most a written but unpublished slot, which the
-// next holder (who steals the lock) simply overwrites; after it, the
-// message is published and complete.
+// A lock holder SIGKILLed mid-operation needs no repair, because each side
+// publishes with one index store:
+//   * a producer killed before its head publish leaves at most a written
+//     but unpublished slot, which the next holder (who steals the lock)
+//     simply overwrites; after it, the message is published and complete;
+//   * a consumer killed before its tail publish has delivered nothing: the
+//     next holder reads the same slots again. After it, the messages are
+//     the corpse's, exactly as with a consumer that died serving them.
+// So no message is lost or delivered twice by a death inside the ring.
 //
 // Also used on its own by the queue micro-benches, to price the node
 // queues against the cheapest possible correct queue.
@@ -46,15 +61,25 @@ class SpscRing {
     SpanStamp span;
   };
 
-  /// Builds a ring with `capacity` slots (rounded up to a power of two) in
-  /// `arena`.
-  static SpscRing* create(ShmArena& arena, std::uint32_t capacity) {
+  /// Who consumes the ring (see the file comment).
+  enum class Consumers : std::uint32_t {
+    kSingle,  // one consumer, lock-free (client reply endpoints)
+    kShared,  // consumers hold consumer_lock() (receive endpoints)
+  };
+
+  /// Builds a ring in `arena` with round_pow2(`capacity`) slots. A kSingle
+  /// ring holds as many messages as it has slots; a kShared ring holds
+  /// exactly `capacity`.
+  static SpscRing* create(ShmArena& arena, std::uint32_t capacity,
+                          Consumers consumers = Consumers::kSingle) {
     std::uint32_t cap = 1;
     while (cap < capacity) cap <<= 1;
     auto* ring = arena.construct<SpscRing>();
     auto* slots = arena.construct_array<Slot>(cap);
     ring->slots_.set(slots);
     ring->mask_ = cap - 1;
+    ring->limit_ = consumers == Consumers::kShared ? capacity : cap;
+    ring->consumers_ = consumers;
     return ring;
   }
 
@@ -66,10 +91,9 @@ class SpscRing {
   /// message (default: untraced).
   bool enqueue(const Message& msg, SpanStamp stamp = {}) noexcept {
     const std::uint32_t head = head_.load(std::memory_order_relaxed);
-    const std::uint32_t tail = tail_cache_;
-    if (head - tail > mask_) {
+    if (head - tail_cache_ >= limit_) {
       tail_cache_ = tail_.load(std::memory_order_acquire);
-      if (head - tail_cache_ > mask_) return false;
+      if (head - tail_cache_ >= limit_) return false;
     }
     slots_.get()[head & mask_] = Slot{msg, stamp};
     explore::point(explore::Point::kRingEnqueueSlot);
@@ -87,10 +111,10 @@ class SpscRing {
                               SpanStamp stamp = {}) noexcept {
     if (n == 0) return 0;
     const std::uint32_t head = head_.load(std::memory_order_relaxed);
-    std::uint32_t free = mask_ + 1 - (head - tail_cache_);
+    std::uint32_t free = limit_ - (head - tail_cache_);
     if (free < n) {
       tail_cache_ = tail_.load(std::memory_order_acquire);
-      free = mask_ + 1 - (head - tail_cache_);
+      free = limit_ - (head - tail_cache_);
       if (free == 0) return 0;
     }
     const std::uint32_t k = std::min(n, free);
@@ -156,18 +180,25 @@ class SpscRing {
            head_.load(std::memory_order_acquire);
   }
 
+  /// Messages queued. Safe from any process at any time: the tail is read
+  /// first and never passes the head read after it.
   [[nodiscard]] std::uint32_t size() const noexcept {
-    return head_.load(std::memory_order_acquire) -
-           tail_.load(std::memory_order_acquire);
+    const std::uint32_t tail = tail_.load(std::memory_order_acquire);
+    return head_.load(std::memory_order_acquire) - tail;
   }
 
-  [[nodiscard]] std::uint32_t capacity() const noexcept { return mask_ + 1; }
+  /// The bound: how many messages fit.
+  [[nodiscard]] std::uint32_t capacity() const noexcept { return limit_; }
+
+  [[nodiscard]] bool shared_consumers() const noexcept {
+    return consumers_ == Consumers::kShared;
+  }
 
   /// Recovery only: discards every queued message and resets both per-side
   /// index caches. Requires BOTH sides quiesced — it writes fields normally
-  /// owned by each: the consumer dead or stopped, and no producer inside an
-  /// enqueue (on a shared ring, hold producer_lock()). Returns the number
-  /// of messages discarded.
+  /// owned by each: no producer inside an enqueue (hold producer_lock())
+  /// and the consumer dead or stopped (on a kShared ring, hold
+  /// consumer_lock() too). Returns the number of messages discarded.
   std::uint32_t drain() noexcept {
     const std::uint32_t head = head_.load(std::memory_order_acquire);
     const std::uint32_t tail = tail_.load(std::memory_order_acquire);
@@ -198,6 +229,12 @@ class SpscRing {
     return producer_lock_;
   }
 
+  /// Serializes the consumers of a kShared ring (see the file comment).
+  /// Unused on kSingle rings.
+  [[nodiscard]] RobustSpinlock& consumer_lock() noexcept {
+    return consumer_lock_;
+  }
+
   /// TEST ONLY: repositions both indices of an EMPTY, quiesced ring to
   /// `base`, so tests can exercise behaviour as the 32-bit indices approach
   /// and cross the unsigned wrap.
@@ -218,10 +255,14 @@ class SpscRing {
   alignas(kCacheLineSize) std::atomic<std::uint32_t> tail_{0};
   std::uint32_t head_cache_ = 0;
 
+  // Read-only after create().
   alignas(kCacheLineSize) std::uint32_t mask_ = 0;
+  std::uint32_t limit_ = 0;
+  Consumers consumers_ = Consumers::kSingle;
   OffsetPtr<Slot> slots_;
 
   RobustSpinlock producer_lock_;  // cache-line aligned: its own line
+  RobustSpinlock consumer_lock_;  // likewise
 };
 
 }  // namespace ulipc

@@ -1,8 +1,10 @@
 // NativePlatform: the Platform-concept implementation over real operating
 // system facilities — this is the deployable library.
 //
-//   queues     : Michael & Scott queues (two-lock or lock-free) on the
-//                receive endpoints, SPSC rings on the client reply ones
+//   queues     : bounded rings (queue/spsc_ring.hpp) — two-lock rings on
+//                the receive endpoints, lock-free-consumer rings on the
+//                client reply ones; Michael & Scott node queues on the
+//                receive endpoints when a channel selects a node engine
 //   awake flag : seq_cst test-and-set word in shared memory
 //   semaphore  : futex-based (modern) or SysV (the paper's primitive),
 //                selected per platform instance
@@ -52,13 +54,14 @@ enum class SemKind : std::uint8_t {
 /// and the semaphore its consumer sleeps on (both kinds are embedded; the
 /// platform's SemKind selects which one is used).
 ///
-/// The queue is exactly one of two structures. A client reply endpoint is
-/// an SpscRing, whose producers share its producer lock; the MPSC receive
-/// endpoints (the server's and the pool's shards) are a MsgQueue of either
-/// engine.
+/// The queue is exactly one of two structures. Every client reply endpoint
+/// is an SpscRing whose producers share its producer lock. A receive
+/// endpoint (the server's, a pool shard's) is an SpscRing whose consumers
+/// also share its consumer lock (the default engine, kRing), or a MsgQueue
+/// of a node engine.
 struct NativeEndpoint {
-  OffsetPtr<MsgQueue> queue;  // null on reply endpoints
-  OffsetPtr<SpscRing> ring;   // null on receive endpoints
+  OffsetPtr<MsgQueue> queue;  // null on ring endpoints
+  OffsetPtr<SpscRing> ring;   // null on node-queue endpoints
   AwakeFlag awake;
   FutexSemaphore fsem;
   SysvSemHandle vsem;
@@ -83,6 +86,13 @@ struct NativeEndpoint {
   // this endpoint as a member, so non-multiplexed endpoints pay one
   // uncontended RMW on an already-syscall-bearing path and nothing else.
   std::atomic<std::uint32_t> doorbell{0};
+
+  /// Messages queued, whichever structure backs the endpoint. Racy against
+  /// live traffic (a shed watermark, a steal victim, a monitor); safe from
+  /// any process that maps the channel.
+  [[nodiscard]] std::uint32_t depth() const noexcept {
+    return ring ? ring->size() : queue->size();
+  }
 };
 
 class NativePlatform {
@@ -134,8 +144,11 @@ class NativePlatform {
   //
   // Each op works on the endpoint's ring if it has one, else its queue.
   // Ring producers hold the ring's producer lock (a reply endpoint may
-  // have several repliers); the consumer side is lock-free. A steal of the
-  // lock from a dead holder needs no repair (see queue/spsc_ring.hpp).
+  // have several repliers, a receive endpoint has one per client). The
+  // consumers of a receive ring hold its consumer lock (owner, thief,
+  // reaper), taken only once the ring reads non-empty; a reply ring's one
+  // consumer takes none. A steal of either lock from a dead holder needs no
+  // repair (see queue/spsc_ring.hpp).
 
   // Every enqueue peeks a span stamp first (a mint, the adopted inbound
   // span for a reply, or untraced — see span_next_stamp) and COMMITS it via
@@ -157,8 +170,12 @@ class NativePlatform {
   bool dequeue(Endpoint& ep, Message* out) noexcept {
     SpanStamp st{};
     SpanStamp* sp = obs::kTraceCompiledIn ? &st : nullptr;
-    SpscRing* r = ep.ring.get();
-    const bool got = r ? r->dequeue(out, sp) : ep.queue->dequeue(out, sp);
+    bool got;
+    if (SpscRing* r = ep.ring.get()) {
+      got = consume(*r, [&] { return r->dequeue(out, sp); });
+    } else {
+      got = ep.queue->dequeue(out, sp);
+    }
     if (got) span_note_received(ep, st);
     return got;
   }
@@ -186,9 +203,12 @@ class NativePlatform {
                               std::uint32_t max) noexcept {
     SpanStamp st{};
     SpanStamp* sp = obs::kTraceCompiledIn ? &st : nullptr;
-    SpscRing* r = ep.ring.get();
-    const std::uint32_t got = r ? r->dequeue_batch(out, max, sp)
-                                : ep.queue->dequeue_batch(out, max, sp);
+    std::uint32_t got;
+    if (SpscRing* r = ep.ring.get()) {
+      got = consume(*r, [&] { return r->dequeue_batch(out, max, sp); });
+    } else {
+      got = ep.queue->dequeue_batch(out, max, sp);
+    }
     span_note_received(ep, st);
     return got;
   }
@@ -497,6 +517,17 @@ class NativePlatform {
   static constexpr std::uint32_t kSpanSampleShift = 5;
 
  private:
+  /// Runs one ring dequeue `op`: directly on a single-consumer ring; under
+  /// the consumer lock on a shared one, unless the ring reads empty (an
+  /// idle consumer's polls never touch the lock line).
+  template <typename Op>
+  static auto consume(SpscRing& r, Op&& op) noexcept -> decltype(op()) {
+    if (!r.shared_consumers()) return op();
+    if (r.empty()) return {};
+    RobustGuard consumers(r.consumer_lock());
+    return op();
+  }
+
   // ---- span plane (obs/span.hpp) ----
 
   /// Peeks the stamp the NEXT enqueue should carry. Pure peek: the adopted

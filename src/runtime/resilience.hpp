@@ -232,7 +232,7 @@ class ResilientPoolClient {
       if (s == kNoShard) continue;  // no active shard yet; back off
       NativeEndpoint& srv = channel_.shard_endpoint(s);
       if (sheddable && cfg_.shed_watermark > 0 &&
-          srv.queue->size() > cfg_.shed_watermark) {
+          srv.depth() > cfg_.shed_watermark) {
         ++stats_.sheds;
         ++p.counters().sheds;
         return RequestOutcome::kOverloaded;

@@ -353,7 +353,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
       for (std::uint32_t s = 0; s < spec.chaos.kill_workers; ++s) {
         drained &=
             channel.shard_map().state(s) == PoolShardMap::kRetired &&
-            channel.shard_endpoint(s).queue->size() == 0;
+            channel.shard_endpoint(s).depth() == 0;
       }
       if (!drained) sleep_ns_eintr(1'000'000);
     }
@@ -406,8 +406,8 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
   // any still-occupied corpse seats, run the sweep, and require the free
   // list to hold exactly its initial population again.
   Message leftover;
-  for (MsgQueue* q : channel.all_queues()) {
-    while (q->dequeue(&leftover)) {
+  for (NativeEndpoint* ep : channel.receive_endpoints()) {
+    while (parent_p.dequeue(*ep, &leftover)) {
     }
   }
   for (std::uint32_t c = 0; c < spec.clients; ++c) {

@@ -310,14 +310,15 @@ PoolWorkerResult run_pool_worker(ShmChannel& channel, Proto proto,
     }
     // 4. Bounded steal from the most-loaded live shard: an idle worker
     // must not strand behind a skewed placement. dequeue_batch is
-    // multi-consumer-safe (head lock), and replies from here are one reason
+    // multi-consumer-safe (the ring's consumer lock, a node queue's head
+    // lock), and replies from here are one reason
     // reply rings take a producer lock.
     if (opts.steal_batch == 0) return;
     std::uint32_t victim = kNoShard;
     std::uint64_t victim_depth = 0;
     for (std::uint32_t s = 0; s < hdr.num_shards; ++s) {
       if (s == shard || map.state(s) != PoolShardMap::kActive) continue;
-      const std::uint64_t depth = channel.shard_endpoint(s).queue->size();
+      const std::uint64_t depth = channel.shard_endpoint(s).depth();
       if (depth >= opts.steal_min_depth && depth > victim_depth) {
         victim = s;
         victim_depth = depth;

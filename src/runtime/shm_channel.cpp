@@ -50,10 +50,24 @@ std::uint32_t reply_ring_slots(const ShmChannel::Config& cfg) {
   return round_pow2(2 * cfg.queue_capacity);
 }
 
-/// Node-pool size: every queue (the server's and each shard's) full, plus
-/// its dummy and one spare node.
+/// Receive endpoints backed by a node queue: the server's and the shards'
+/// whose topology picks a node engine. Ring endpoints draw no nodes.
+std::uint32_t node_queue_count(const ShmChannel::Config& cfg) {
+  const auto linked = [](QueueEngine e) { return e != QueueEngine::kRing; };
+  return (linked(cfg.engines.server) ? 1 : 0) +
+         (linked(cfg.engines.shard) ? cfg.shards : 0);
+}
+
+/// Node-pool size: every node queue full, plus its dummy and one spare
+/// node. A ring-only channel has an empty pool.
 std::uint32_t pool_node_count(const ShmChannel::Config& cfg) {
-  return (1 + cfg.shards) * (cfg.queue_capacity + 2);
+  return node_queue_count(cfg) * (cfg.queue_capacity + 2);
+}
+
+/// Slots in each receive ring: queue_capacity, rounded up to a power of
+/// two (the ring's bound stays exactly queue_capacity).
+std::uint32_t receive_ring_slots(const ShmChannel::Config& cfg) {
+  return round_pow2(cfg.queue_capacity);
 }
 
 PayloadPool::Config payload_plane_config(const ShmChannel::Config& cfg) {
@@ -67,14 +81,18 @@ PayloadPool::Config payload_plane_config(const ShmChannel::Config& cfg) {
 }  // namespace
 
 std::size_t ShmChannel::required_bytes(const Config& cfg) {
-  // Header + node pool + one endpoint per participant: a queue for the
-  // server and each shard, a reply ring for each client. Each is rounded up
-  // for alignment, plus generous slack.
-  const std::size_t queues = 1 + cfg.shards;
-  const std::size_t endpoints = queues + cfg.max_clients;
+  // Header + node pool + one endpoint per participant: a ring or a node
+  // queue for the server and each shard, a reply ring for each client.
+  // Each is rounded up for alignment, plus generous slack.
+  const std::size_t receivers = 1 + cfg.shards;
+  const std::size_t queues = node_queue_count(cfg);
+  const std::size_t endpoints = receivers + cfg.max_clients;
   std::size_t bytes = sizeof(ArenaHeader) + sizeof(ShmChannelHeader);
   bytes += sizeof(NodePool) + pool_node_count(cfg) * sizeof(MsgNode);
   bytes += endpoints * sizeof(NativeEndpoint) + queues * sizeof(MsgQueue);
+  const std::size_t receive_ring_bytes =
+      sizeof(SpscRing) + receive_ring_slots(cfg) * sizeof(SpscRing::Slot);
+  bytes += (receivers - queues) * receive_ring_bytes;
   bytes += cfg.max_clients * (sizeof(SpscRing) +
                               reply_ring_slots(cfg) * sizeof(SpscRing::Slot));
   bytes += (2 * endpoints + 8) * 2 * kCacheLineSize;  // alignment slack
@@ -109,18 +127,23 @@ ShmChannel ShmChannel::create(ShmRegion& region, const Config& cfg) {
   ch.header_->node_pool_offset = ch.arena_.to_offset(pool);
 
   // The receive endpoints — the server's, and the pool's shards — have many
-  // producers and a node queue of the topology's `engine`. Every client
-  // reply endpoint (no engine) is an SpscRing instead; its producers (the
-  // one server, or on a pool channel any worker that answers the client:
-  // owner, thief, reaper) share it through the ring's producer lock.
+  // producers, and on a pool channel several consumers (owner, thief,
+  // reaper): a two-lock ring bounded at queue_capacity, or a node queue
+  // when the topology's `engine` picks one. Every client reply endpoint (no
+  // engine) is a ring with one consumer; its producers (the one server, or
+  // on a pool channel any worker that answers the client) share it through
+  // the ring's producer lock.
   auto build_endpoint = [&](std::uint32_t id, int sem_index,
                             std::optional<QueueEngine> engine) {
     auto* ep = ch.arena_.construct<NativeEndpoint>();
-    if (engine) {
+    if (!engine) {
+      ep->ring.set(SpscRing::create(ch.arena_, reply_ring_slots(cfg)));
+    } else if (*engine == QueueEngine::kRing) {
+      ep->ring.set(SpscRing::create(ch.arena_, cfg.queue_capacity,
+                                    SpscRing::Consumers::kShared));
+    } else {
       ep->queue.set(
           MsgQueue::create(ch.arena_, pool, cfg.queue_capacity, *engine));
-    } else {
-      ep->ring.set(SpscRing::create(ch.arena_, reply_ring_slots(cfg)));
     }
     ep->id = id;
     ep->vsem = ch.sem_set_.handle(sem_index);
@@ -257,11 +280,18 @@ ShmChannel::ReclaimStats ShmChannel::reclaim_client(std::uint32_t i) noexcept {
   return stats;
 }
 
+std::vector<NativeEndpoint*> ShmChannel::receive_endpoints() {
+  std::vector<NativeEndpoint*> eps{&server_endpoint()};
+  for (std::uint32_t s = 0; s < header_->num_shards; ++s) {
+    eps.push_back(&shard_endpoint(s));
+  }
+  return eps;
+}
+
 std::vector<MsgQueue*> ShmChannel::all_queues() {
   std::vector<MsgQueue*> queues;
-  queues.push_back(server_endpoint().queue.get());
-  for (std::uint32_t s = 0; s < header_->num_shards; ++s) {
-    queues.push_back(shard_endpoint(s).queue.get());
+  for (NativeEndpoint* ep : receive_endpoints()) {
+    if (ep->queue) queues.push_back(ep->queue.get());
   }
   return queues;
 }
@@ -275,10 +305,13 @@ std::uint32_t ShmChannel::drain_reply_endpoint(std::uint32_t i) noexcept {
 }
 
 RecoveryStats ShmChannel::sweep_leaked() {
-  // The client reply rings are the channel's only rings.
+  // Every ring: the client reply rings and the receive rings.
   std::vector<SpscRing*> rings;
   for (std::uint32_t c = 0; c < header_->max_clients; ++c) {
     rings.push_back(client_endpoint(c).ring.get());
+  }
+  for (NativeEndpoint* ep : receive_endpoints()) {
+    if (ep->ring) rings.push_back(ep->ring.get());
   }
   return sweep_leaked_nodes(node_pool(), all_queues(), payload_plane(),
                             rings);

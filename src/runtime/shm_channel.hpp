@@ -4,10 +4,11 @@
 // Layout (all inside one ShmArena, discoverable from the header at the
 // arena's first allocation):
 //   header { magic, config, endpoint offsets, SysV ids, barrier, reports }
-//   node pool (shared by all queues)
-//   server endpoint + queue
+//   node pool (shared by the node queues; empty when every receive
+//     endpoint is a ring)
+//   server endpoint + receive ring (or node queue)
 //   per-client reply endpoint + ring
-//   per-shard endpoint + queue (pool channels)
+//   per-shard endpoint + receive ring (or node queue) (pool channels)
 //
 // The same region works for fork()-children (anonymous mapping) and for
 // unrelated processes (named POSIX shm + attach()), because all internal
@@ -141,9 +142,10 @@ class ShmChannel {
  public:
   struct Config {
     std::uint32_t max_clients = 4;
-    std::uint32_t queue_capacity = 64;  // per receive queue; each client
-                                        // reply ring holds 2x this, rounded
-                                        // up to a power of two
+    std::uint32_t queue_capacity = 64;  // exact bound of each receive
+                                        // endpoint; each client reply ring
+                                        // holds 2x this, rounded up to a
+                                        // power of two
     bool create_sysv_queues = false;  // allocate the SysV baseline transport
     std::uint32_t trace_ring_capacity = 1024;  // records per trace ring
                                                // (rounded up to a power of 2)
@@ -157,7 +159,7 @@ class ShmChannel {
     // max_clients). payload_max_bytes == 0 builds no plane at all.
     std::uint32_t payload_max_bytes = 4096;
     std::uint32_t payload_slots_per_class = 0;
-    // Which queue engine backs each endpoint topology (see
+    // Which queue engine backs each receive topology (see
     // queue/queue_engine.hpp). Defaults honor the compile-time default plus
     // the ULIPC_QUEUE_ENGINE environment override, so CI/bench pinning
     // needs no code change; embedders can still set fields explicitly.
@@ -192,8 +194,8 @@ class ShmChannel {
     return header_->num_shards;
   }
   /// Pool channels only: the receive endpoint worker `s` owns. All of a
-  /// shard's clients (and any thief worker's dequeue_batch) share it, so it
-  /// is a node queue, not an SPSC ring.
+  /// shard's clients produce into it and any worker may consume it (owner,
+  /// thief, reaper), so a ring there takes both of its locks.
   [[nodiscard]] NativeEndpoint& shard_endpoint(std::uint32_t s) {
     ULIPC_INVARIANT(s < header_->num_shards && header_->shard_ep_offset[s] != 0,
                     "not a pool channel / bad shard index");
@@ -203,7 +205,8 @@ class ShmChannel {
     return header_->shard_map;
   }
 
-  /// The node pool all of this channel's queues draw from.
+  /// The node pool this channel's node queues draw from (no nodes when
+  /// every receive endpoint is a ring).
   [[nodiscard]] NodePool& node_pool() noexcept {
     return *arena_.from_offset<NodePool>(header_->node_pool_offset);
   }
@@ -346,10 +349,14 @@ class ShmChannel {
   /// other clients keep trafficking the channel.
   ReclaimStats reclaim_client(std::uint32_t i) noexcept;
 
+  /// The receive endpoints: the server's, plus the shards' on pool
+  /// channels.
+  [[nodiscard]] std::vector<NativeEndpoint*> receive_endpoints();
+
   /// Every MsgQueue drawing from this channel's node pool — the exact
   /// list a recovery sweep must mark (a queue left out would have its
-  /// in-flight nodes misread as leaks): the server's queue, plus the shard
-  /// queues on pool channels. Reply endpoints are rings and hold no nodes.
+  /// in-flight nodes misread as leaks): the receive endpoints that are
+  /// node queues. Rings hold no nodes.
   [[nodiscard]] std::vector<MsgQueue*> all_queues();
 
   /// Discards everything pending in client `i`'s reply ring (under its
@@ -357,8 +364,8 @@ class ShmChannel {
   /// the caller guarantees no consumer.
   std::uint32_t drain_reply_endpoint(std::uint32_t i) noexcept;
 
-  /// sweep_leaked_nodes over this channel's pool, queues, reply rings (the
-  /// payload slots of replies pending there stay pinned) and payload
+  /// sweep_leaked_nodes over this channel's pool, node queues, rings (the
+  /// payload slots of messages pending there stay pinned) and payload
   /// plane. Callers serialize sweeps (the header's recovery lock).
   RecoveryStats sweep_leaked();
 

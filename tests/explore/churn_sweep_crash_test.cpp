@@ -19,6 +19,7 @@
 #include "shm/process.hpp"
 #include "shm/robust_spinlock.hpp"
 #include "shm/shm_region.hpp"
+#include "support/node_engine.hpp"
 
 namespace ulipc {
 namespace {
@@ -34,6 +35,8 @@ class ChurnSweepCrashTest : public ::testing::Test {
     cfg.max_clients = 2;
     cfg.queue_capacity = 16;
     cfg.shards = 1;
+    // The armed markers are the node queues' (kQ*).
+    cfg.engines.shard = test::node_engine_from_env();
     region_ = ShmRegion::create_anonymous(ShmChannel::required_bytes(cfg));
     channel_.emplace(ShmChannel::create(region_, cfg));
     free0_ = channel_->node_pool().free_count();

@@ -53,10 +53,8 @@ class PayloadCrashTest : public ::testing::Test {
                                      channel_->all_queues(), plane_, {&ep()});
   }
 
-  RecoveryStats sweep() {
-    return sweep_leaked_nodes(channel_->node_pool(), channel_->all_queues(),
-                              plane_);
-  }
+  /// The channel's sweep: node queues and rings, receive and reply.
+  RecoveryStats sweep() { return channel_->sweep_leaked(); }
 
   ShmRegion region_;
   std::optional<ShmChannel> channel_;
@@ -125,12 +123,14 @@ TEST_F(PayloadCrashTest, PendingMessagePinsTheDeadSendersPayload) {
   EXPECT_EQ(plane_->loans_outstanding(), 1u);
 
   Message m;
-  ASSERT_TRUE(ep().queue->dequeue(&m));
+  NativePlatform consumer;
+  ASSERT_TRUE(consumer.dequeue(ep(), &m));
   EXPECT_DOUBLE_EQ(m.value, 7.0);
   EXPECT_EQ(plane_->read(m.ext_offset), "pinned-by-pending-message");
 
-  // Delivered now: the stale copies left in the queue's dummy node must
-  // not keep pinning it, and the (dead) holder no longer protects it.
+  // Delivered now: the stale copies left in the queue's dummy node (or the
+  // ring's consumed slot) must not keep pinning it, and the (dead) holder
+  // no longer protects it.
   stats = sweep();
   EXPECT_EQ(stats.payloads_reclaimed, 1u);
   EXPECT_EQ(plane_->free_count(), pfree0_);

@@ -84,8 +84,9 @@ TEST_F(PoolReplyRingCrashTest, WorkerKilledAtRingSlotIsStolenAndServed) {
   ASSERT_NE(token, PayloadPool::kNoPayload);
   std::memset(plane_->data(token), 'v', kBytes);
   plane_->publish(token, kBytes);
-  ASSERT_TRUE(channel_->shard_endpoint(0).queue->enqueue(
-      Message(Op::kEcho, 0, -1.0, token)));
+  NativePlatform feeder;
+  ASSERT_TRUE(feeder.enqueue(channel_->shard_endpoint(0),
+                             Message(Op::kEcho, 0, -1.0, token)));
 
   // Worker 0 serves it and dies writing the reply into client 0's ring:
   // slot written, head unpublished, producer lock held by the corpse.

@@ -126,7 +126,7 @@ WaitSetRun run_waitset_race(WaitSetBackend backend,
         if (!ws.add(&a, 1) || !ws.add(&b, 2)) return;
         r.wait_status =
             ws.wait(wait_plat.time_ns() + 5'000'000'000, &r.ready);
-        if (r.wait_status == Status::kOk) (void)a.queue->dequeue(&m);
+        if (r.wait_status == Status::kOk) (void)wait_plat.dequeue(a, &m);
       });
       c.spawn("producer", [&] {
         detail::enqueue_and_wake(prod_plat, a, Message(Op::kEcho, 0, 42.0));

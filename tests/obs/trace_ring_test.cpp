@@ -16,6 +16,7 @@
 #include "runtime/shm_channel.hpp"
 #include "shm/process.hpp"
 #include "shm/shm_region.hpp"
+#include "support/node_engine.hpp"
 
 namespace ulipc::obs {
 namespace {
@@ -114,6 +115,7 @@ TEST(TraceRing, ReclaimOfDeadClientIsRecordedInRegistry) {
   ShmChannel::Config cfg;
   cfg.max_clients = 1;
   cfg.queue_capacity = 16;
+  cfg.engines.server = test::node_engine_from_env();
   ShmRegion region =
       ShmRegion::create_anonymous(ShmChannel::required_bytes(cfg));
   ShmChannel channel = ShmChannel::create(region, cfg);

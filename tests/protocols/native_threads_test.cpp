@@ -55,7 +55,7 @@ TEST_F(NativeThreadsTest, ProducerConsumerSleepWake) {
     ASSERT_DOUBLE_EQ(m.value, double(i));
   }
   producer.join();
-  EXPECT_TRUE(ep.queue->empty());
+  EXPECT_EQ(ep.depth(), 0u);
   EXPECT_EQ(ep.fsem.value(), 0u) << "no semaphore residue";
 }
 
@@ -83,7 +83,7 @@ TEST_F(NativeThreadsTest, ManyProducersOneSleepyConsumer) {
     detail::dequeue_or_sleep(plat, ep, &m, false);
   }
   for (auto& t : producers) t.join();
-  EXPECT_TRUE(ep.queue->empty());
+  EXPECT_EQ(ep.depth(), 0u);
   // Any count left could only come from wake-ups the consumer absorbed
   // incorrectly; the protocol guarantees zero.
   EXPECT_EQ(ep.fsem.value(), 0u);
@@ -205,9 +205,9 @@ TEST_F(NativeThreadsTest, SendUntilTimesOutWithNoServer) {
   EXPECT_EQ(st, Status::kTimeout);
   // The request itself was delivered (sends are enqueue-then-await-reply);
   // only the reply wait expired.
-  EXPECT_EQ(srv.queue->size(), 1u);
+  EXPECT_EQ(srv.depth(), 1u);
   Message m;
-  ASSERT_TRUE(srv.queue->dequeue(&m));
+  ASSERT_TRUE(plat.dequeue(srv, &m));
   EXPECT_DOUBLE_EQ(m.value, 1.0);
 }
 

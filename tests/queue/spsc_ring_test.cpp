@@ -28,6 +28,31 @@ TEST_F(SpscRingTest, CapacityRoundsToPowerOfTwo) {
   EXPECT_EQ(SpscRing::create(arena_, 1)->capacity(), 1u);
 }
 
+// A receive ring (shared consumers) holds exactly its requested capacity,
+// in a power-of-two slot array: the channel's queue_capacity keeps its
+// meaning for flow control whatever the engine.
+TEST_F(SpscRingTest, SharedRingBoundIsExact) {
+  SpscRing* ring = SpscRing::create(arena_, 12, SpscRing::Consumers::kShared);
+  EXPECT_TRUE(ring->shared_consumers());
+  EXPECT_FALSE(SpscRing::create(arena_, 12)->shared_consumers());
+  EXPECT_EQ(ring->capacity(), 12u);
+  for (int round = 0; round < 3; ++round) {  // bound holds across the wrap
+    for (int i = 0; i < 12; ++i) {
+      ASSERT_TRUE(ring->enqueue(Message(Op::kEcho, 0, double(i))));
+    }
+    EXPECT_FALSE(ring->enqueue(Message(Op::kEcho, 0, 0.0))) << "ring full";
+    EXPECT_EQ(ring->size(), 12u);
+    Message out[16];
+    ASSERT_EQ(ring->dequeue_batch(out, 16), 12u);
+    EXPECT_DOUBLE_EQ(out[11].value, 11.0);
+  }
+  // A batch stops at the bound too.
+  Message burst[20];
+  for (int i = 0; i < 20; ++i) burst[i] = Message(Op::kEcho, 0, double(i));
+  EXPECT_EQ(ring->enqueue_batch(burst, 20), 12u);
+  EXPECT_EQ(ring->enqueue_batch(burst, 20), 0u);
+}
+
 TEST_F(SpscRingTest, FifoOrder) {
   SpscRing* ring = SpscRing::create(arena_, 16);
   for (int i = 0; i < 10; ++i) {

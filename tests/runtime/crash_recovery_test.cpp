@@ -20,6 +20,7 @@
 #include "runtime/server_pool.hpp"
 #include "shm/process.hpp"
 #include "shm/shm_region.hpp"
+#include "support/node_engine.hpp"
 
 namespace ulipc {
 namespace {
@@ -73,7 +74,7 @@ class CrashRecoveryTest : public ::testing::Test {
       // Lock-steal tests assert two-lock-specific recovery mechanics and
       // must not follow a CI-wide ULIPC_QUEUE_ENGINE pin; the lock-free
       // engine's analogous guarantees are covered by the engine-
-      // parametrized suites.
+      // parametrized suites. Node-pool tests need a node engine.
       cfg.engines.server = cfg.engines.shard = *pin_engine;
     }
     region_ = ShmRegion::create_anonymous(ShmChannel::required_bytes(cfg));
@@ -138,7 +139,7 @@ TEST_F(CrashRecoveryTest, TailStealRepairsHalfFinishedEnqueue) {
 // A process dying between NodePool::allocate() and the queue link leaks a
 // node invisible to every queue. reclaim_client() must sweep it back.
 TEST_F(CrashRecoveryTest, LeakedNodeOfDeadClientIsSwept) {
-  build(1, /*shards=*/0);
+  build(1, /*shards=*/0, test::node_engine_from_env());
   const std::uint32_t free0 = channel_->node_pool().free_count();
 
   ChildProcess victim = ChildProcess::spawn([&] {
@@ -158,7 +159,7 @@ TEST_F(CrashRecoveryTest, LeakedNodeOfDeadClientIsSwept) {
 // The sweep must NOT reclaim a node whose owner is alive — a live process
 // may be microseconds away from linking it into a queue.
 TEST_F(CrashRecoveryTest, SweepSparesNodesOfLiveOwners) {
-  build(1, /*shards=*/0);
+  build(1, /*shards=*/0, test::node_engine_from_env());
   NodePool& pool = channel_->node_pool();
   const ShmIndex mine = pool.allocate();  // in flight, owner = this process
   ASSERT_NE(mine, kNullIndex);
@@ -318,8 +319,9 @@ TEST_F(CrashRecoveryTest, ReplyServedAfterReapIsDrained) {
   ChildProcess victim = ChildProcess::spawn([] { return 0; });
   channel_->register_client_pid(0, static_cast<std::uint32_t>(victim.pid()));
   ASSERT_EQ(victim.join(), 0);
-  ASSERT_TRUE(channel_->shard_endpoint(0).queue->enqueue(
-      Message(Op::kEcho, 0, 1.0)));
+  NativePlatform plat;
+  ASSERT_TRUE(plat.enqueue(channel_->shard_endpoint(0),
+                           Message(Op::kEcho, 0, 1.0)));
   ASSERT_TRUE(channel_->reclaim_client(0).reaped);
 
   // Nobody disconnects, so the run ends on the stop flag, raised once the
@@ -328,7 +330,7 @@ TEST_F(CrashRecoveryTest, ReplyServedAfterReapIsDrained) {
   std::thread stopper([&] {
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (!channel_->shard_endpoint(0).queue->empty() &&
+    while (channel_->shard_endpoint(0).depth() != 0 &&
            std::chrono::steady_clock::now() < deadline) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
@@ -365,8 +367,9 @@ TEST_F(CrashRecoveryTest, LeftoverOfReapedSeatInDeadShardIsDrainedAtReap) {
                                 static_cast<std::uint32_t>(dead_client.pid()));
   ASSERT_EQ(dead_client.join(), 0);
   ASSERT_TRUE(channel_->reclaim_client(0).reaped);
-  ASSERT_TRUE(channel_->shard_endpoint(0).queue->enqueue(
-      Message(Op::kEcho, 0, 1.0)));
+  NativePlatform plat;
+  ASSERT_TRUE(plat.enqueue(channel_->shard_endpoint(0),
+                           Message(Op::kEcho, 0, 1.0)));
 
   // The survivor runs in its own process so a self-deadlocked reap cannot
   // hang the test: it is killed once the bound passes.

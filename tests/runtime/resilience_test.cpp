@@ -50,22 +50,22 @@ TEST_F(ResilienceTest, ShedsAtAdmissionWhenShardExceedsWatermark) {
   // Pile three requests into the only shard: depth 3 > watermark 2.
   NativeEndpoint& shard = channel_->shard_endpoint(0);
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(shard.queue->enqueue(Message(Op::kEcho, 0, double(i))));
+    ASSERT_TRUE(plat.enqueue(shard, Message(Op::kEcho, 0, double(i))));
   }
-  const std::uint64_t queued = shard.queue->size();
+  const std::uint64_t queued = shard.depth();
 
   Message ans;
   EXPECT_EQ(client.request(plat, Op::kEcho, 1.0, &ans),
             RequestOutcome::kOverloaded);
   EXPECT_EQ(client.stats().sheds, 1u);
   EXPECT_EQ(plat.counters().sheds, 1u);
-  EXPECT_EQ(shard.queue->size(), queued)
+  EXPECT_EQ(shard.depth(), queued)
       << "a shed request must never reach the shard queue";
 
   // Drain below the watermark: the same client is admitted again (and then
   // times out, because nobody serves — admission and service are separate).
   Message m;
-  while (shard.queue->dequeue(&m)) {
+  while (plat.dequeue(shard, &m)) {
   }
   EXPECT_EQ(client.request(plat, Op::kEcho, 1.0, &ans),
             RequestOutcome::kTimedOut);
@@ -89,7 +89,7 @@ TEST_F(ResilienceTest, TimesOutAfterBoundedRetriesWhenNobodyServes) {
   EXPECT_EQ(plat.counters().retries, 3u);
   EXPECT_EQ(client.stats().requests, 1u) << "one logical request";
   // All four attempts enqueued the same tagged message.
-  EXPECT_EQ(channel_->shard_endpoint(0).queue->size(), 4u);
+  EXPECT_EQ(channel_->shard_endpoint(0).depth(), 4u);
 }
 
 TEST_F(ResilienceTest, StaleReplyIsDroppedNotReturned) {

@@ -41,11 +41,16 @@ TEST_F(ServerPoolTest, PoolChannelLayout) {
   EXPECT_EQ(channel_->shard_map().count(), 2u);
   EXPECT_NE(&channel_->shard_endpoint(0), &channel_->shard_endpoint(1));
   EXPECT_NE(&channel_->shard_endpoint(0), &channel_->server_endpoint());
-  // Shard queues are MPSC receive endpoints: no ring. Every client reply
-  // endpoint is fronted by a ring its repliers share under the producer
-  // lock.
+  // A shard is a receive endpoint of the shard topology's engine: a ring
+  // whose consumers (owner, thief, reaper) share its consumer lock, or a
+  // node queue. Every client reply endpoint is a ring its repliers share
+  // under the producer lock, with its client as the one consumer.
+  const bool rings = QueueEnginePolicy::from_env().shard == QueueEngine::kRing;
   for (std::uint32_t s = 0; s < 2; ++s) {
-    EXPECT_EQ(channel_->shard_endpoint(s).ring.get(), nullptr) << "shard " << s;
+    const NativeEndpoint& ep = channel_->shard_endpoint(s);
+    EXPECT_EQ(static_cast<bool>(ep.ring), rings) << "shard " << s;
+    EXPECT_EQ(static_cast<bool>(ep.queue), !rings) << "shard " << s;
+    if (rings) EXPECT_TRUE(ep.ring->shared_consumers()) << "shard " << s;
   }
   for (std::uint32_t c = 0; c < 4; ++c) {
     EXPECT_NE(channel_->client_endpoint(c).ring.get(), nullptr)

@@ -44,9 +44,18 @@ TEST(ShmChannel, EndpointsAreDistinctAndUsable) {
       ShmRegion::create_anonymous(ShmChannel::required_bytes(cfg));
   ShmChannel ch = ShmChannel::create(region, cfg);
 
+  NativePlatform p;
   NativeEndpoint& srv = ch.server_endpoint();
-  EXPECT_TRUE(srv.queue->empty());
-  EXPECT_FALSE(srv.ring) << "the receive endpoint is a node queue";
+  EXPECT_TRUE(p.queue_empty(srv));
+  if (cfg.engines.server == QueueEngine::kRing) {
+    ASSERT_TRUE(srv.ring) << "the receive endpoint is a two-lock ring";
+    EXPECT_FALSE(srv.queue);
+    EXPECT_TRUE(srv.ring->shared_consumers());
+  } else {
+    ASSERT_TRUE(srv.queue) << "the receive endpoint is a node queue";
+    EXPECT_FALSE(srv.ring);
+    EXPECT_EQ(srv.queue->engine(), cfg.engines.server);
+  }
   for (std::uint32_t i = 0; i < cfg.max_clients; ++i) {
     NativeEndpoint& ep = ch.client_endpoint(i);
     EXPECT_NE(&ep, &srv);
@@ -54,6 +63,7 @@ TEST(ShmChannel, EndpointsAreDistinctAndUsable) {
     EXPECT_FALSE(ep.queue) << "reply endpoint " << i << " owns a MsgQueue";
     SpscRing* ring = ep.ring.get();
     ASSERT_NE(ring, nullptr);
+    EXPECT_FALSE(ring->shared_consumers()) << "one consumer: the client";
     EXPECT_TRUE(ring->empty());
     ASSERT_TRUE(ring->enqueue(Message(Op::kEcho, i, 1.0)));
     Message m;
@@ -62,16 +72,66 @@ TEST(ShmChannel, EndpointsAreDistinctAndUsable) {
   }
 }
 
+// The receive bound is exactly queue_capacity under every engine, also
+// when it is not a power of two: flow control starts at the same depth
+// whichever structure backs the endpoint.
 TEST(ShmChannel, QueueCapacityHonored) {
-  const auto cfg = small_config();
+  for (const QueueEngine e :
+       {QueueEngine::kRing, QueueEngine::kTwoLock, QueueEngine::kLockFree}) {
+    for (const std::uint32_t capacity : {16u, 12u}) {
+      auto cfg = small_config();
+      cfg.queue_capacity = capacity;
+      cfg.shards = 1;
+      cfg.engines.server = cfg.engines.shard = e;
+      ShmRegion region =
+          ShmRegion::create_anonymous(ShmChannel::required_bytes(cfg));
+      ShmChannel ch = ShmChannel::create(region, cfg);
+      NativePlatform p;
+      for (NativeEndpoint* ep : ch.receive_endpoints()) {
+        for (std::uint32_t i = 0; i < capacity; ++i) {
+          EXPECT_TRUE(p.enqueue(*ep, Message(Op::kEcho, 0, 0.0)));
+        }
+        EXPECT_FALSE(p.enqueue(*ep, Message(Op::kEcho, 0, 0.0)))
+            << queue_engine_name(e) << " endpoint " << ep->id
+            << " holds more than " << capacity;
+        EXPECT_EQ(ep->depth(), capacity);
+      }
+    }
+  }
+}
+
+// A channel whose receive endpoints are all rings draws nothing from the
+// node pool, so it has none, and it needs fewer bytes than the same
+// channel on node queues.
+TEST(ShmChannel, RingOnlyChannelHasNoNodes) {
+  auto cfg = small_config();
+  cfg.shards = 2;
+  cfg.engines.server = cfg.engines.shard = QueueEngine::kRing;
   ShmRegion region =
       ShmRegion::create_anonymous(ShmChannel::required_bytes(cfg));
   ShmChannel ch = ShmChannel::create(region, cfg);
-  MsgQueue& q = *ch.server_endpoint().queue;
-  for (std::uint32_t i = 0; i < cfg.queue_capacity; ++i) {
-    EXPECT_TRUE(q.enqueue(Message(Op::kEcho, 0, 0.0)));
-  }
-  EXPECT_FALSE(q.enqueue(Message(Op::kEcho, 0, 0.0)));
+  EXPECT_EQ(ch.node_pool().capacity(), 0u);
+  EXPECT_TRUE(ch.all_queues().empty());
+  EXPECT_EQ(ch.receive_endpoints().size(), 3u);
+  EXPECT_EQ(ch.sweep_leaked().nodes_reclaimed, 0u);
+
+  auto bare = cfg;  // no payload plane: the queues dominate the size
+  bare.payload_max_bytes = 0;
+  bare.queue_capacity = 64;
+  auto linked = bare;
+  linked.engines.server = linked.engines.shard = QueueEngine::kTwoLock;
+  EXPECT_LT(ShmChannel::required_bytes(bare),
+            ShmChannel::required_bytes(linked));
+
+  // A mixed channel sizes its pool for its node queues alone.
+  auto mixed = cfg;
+  mixed.engines.shard = QueueEngine::kTwoLock;
+  ShmRegion mixed_region =
+      ShmRegion::create_anonymous(ShmChannel::required_bytes(mixed));
+  ShmChannel mch = ShmChannel::create(mixed_region, mixed);
+  EXPECT_EQ(mch.node_pool().capacity(),
+            mixed.shards * (mixed.queue_capacity + 2));
+  EXPECT_EQ(mch.all_queues().size(), mixed.shards);
 }
 
 TEST(ShmChannel, AttachSeesSameStructures) {
@@ -79,13 +139,13 @@ TEST(ShmChannel, AttachSeesSameStructures) {
   ShmRegion region =
       ShmRegion::create_anonymous(ShmChannel::required_bytes(cfg));
   ShmChannel creator = ShmChannel::create(region, cfg);
-  ASSERT_TRUE(creator.server_endpoint().queue->enqueue(
-      Message(Op::kEcho, 0, 9.5)));
+  NativePlatform p;
+  ASSERT_TRUE(p.enqueue(creator.server_endpoint(), Message(Op::kEcho, 0, 9.5)));
 
   ShmChannel attached = ShmChannel::attach(region);
   EXPECT_EQ(attached.header().max_clients, cfg.max_clients);
   Message m;
-  ASSERT_TRUE(attached.server_endpoint().queue->dequeue(&m));
+  ASSERT_TRUE(p.dequeue(attached.server_endpoint(), &m));
   EXPECT_DOUBLE_EQ(m.value, 9.5);
 }
 

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "shm/futex_waitv.hpp"
 #include "shm/process.hpp"
 #include "shm/shm_region.hpp"
+#include "support/node_engine.hpp"
 
 namespace ulipc {
 namespace {
@@ -86,11 +88,13 @@ TEST(WaitSetBackendTest, ResolutionHonorsProbeAndEnv) {
 
 /// Builds N independent single-client channels on anonymous regions.
 struct ChannelFarm {
-  explicit ChannelFarm(std::uint32_t n, std::uint32_t queue_capacity = 64) {
+  explicit ChannelFarm(std::uint32_t n, std::uint32_t queue_capacity = 64,
+                       std::optional<QueueEngine> engine = std::nullopt) {
     ShmChannel::Config cfg;
     cfg.max_clients = 1;
     cfg.queue_capacity = queue_capacity;
     cfg.payload_max_bytes = 0;
+    if (engine) cfg.engines.server = *engine;
     regions.reserve(n);
     chans.reserve(n);
     for (std::uint32_t c = 0; c < n; ++c) {
@@ -237,7 +241,7 @@ TEST_P(WaitSetChunkRotationTest, FanInAndChurnPastOneWaitvChunk) {
   };
   const auto drain = [&](std::uint64_t tag) {
     Message m;
-    ASSERT_TRUE(farm.chans[tag].server_endpoint().queue->dequeue(&m));
+    ASSERT_TRUE(plat.dequeue(farm.chans[tag].server_endpoint(), &m));
     EXPECT_DOUBLE_EQ(m.value, static_cast<double>(tag));
   };
 
@@ -339,7 +343,7 @@ TEST(WaitSetMembershipTest, AddAndRemoveWhileWaiterBlocked) {
   waiter.join();
   ASSERT_TRUE(got_b.load(std::memory_order_acquire));
   Message m;
-  ASSERT_TRUE(b.queue->dequeue(&m));
+  ASSERT_TRUE(plat.dequeue(b, &m));
 
   // Remove while a waiter is blocked: the waiter must survive (ungated,
   // snapshot rebuilt) and b must leave in the resting state.
@@ -358,7 +362,7 @@ TEST(WaitSetMembershipTest, AddAndRemoveWhileWaiterBlocked) {
   EXPECT_TRUE(plat.tas_awake(b));
   detail::enqueue_and_wake(plat, a, Message(Op::kEcho, 0, 2.0));
   waiter2.join();
-  ASSERT_TRUE(a.queue->dequeue(&m));
+  ASSERT_TRUE(plat.dequeue(a, &m));
   ASSERT_TRUE(ws.remove(&a));
   EXPECT_EQ(ws.size(), 0u);
 }
@@ -412,7 +416,7 @@ TEST(WaitSetBridgeTest, PollFdIntegratesWithExternalPoll) {
   ASSERT_EQ(ready.size(), 1u);
   EXPECT_EQ(ready[0], 1u);
   Message m;
-  ASSERT_TRUE(ep.queue->dequeue(&m));
+  ASSERT_TRUE(plat.dequeue(ep, &m));
   ASSERT_TRUE(ws.remove(&ep));
 
   WaitSet wv(plat);  // auto backend: fd only exists on the bridge
@@ -427,7 +431,9 @@ TEST(WaitSetBridgeTest, PollFdIntegratesWithExternalPoll) {
 // repair the queue, recover every node, and the member then detaches back
 // to a clean resting state.
 TEST(WaitSetCrashTest, SigkilledArmedClientIsSweptAndSlotReclaimed) {
-  ChannelFarm farm(2);
+  // The corpse's half-finished enqueue is a node queue's (a linked node
+  // behind a held tail lock): this test runs on a node engine.
+  ChannelFarm farm(2, 64, test::node_engine_from_env());
   NativePlatform plat;
   NativeEndpoint& victim_ep = farm.chans[0].server_endpoint();
   const std::uint32_t free0 = farm.chans[0].node_pool().free_count();

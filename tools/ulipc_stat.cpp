@@ -271,7 +271,7 @@ void print_shards(const ChannelView& v) {
         "%-5u %-8s %-8u %7u %8u %8llu %8llu %9llu\n", s,
         shard_state_name(sh.state.load(std::memory_order_acquire)),
         v.channel->worker_peer[s].pid.load(std::memory_order_acquire),
-        v.shard_ep(s)->queue.get()->size(),
+        v.shard_ep(s)->depth(),
         sh.assigned.load(std::memory_order_acquire),
         static_cast<unsigned long long>(
             sh.steal_passes.load(std::memory_order_relaxed)),
@@ -464,7 +464,7 @@ void print_json(std::FILE* f, const ChannelView& v) {
           s == 0 ? "" : ",", s,
           shard_state_name(sh.state.load(std::memory_order_acquire)),
           v.channel->worker_peer[s].pid.load(std::memory_order_acquire),
-          v.shard_ep(s)->queue.get()->size(),
+          v.shard_ep(s)->depth(),
           sh.assigned.load(std::memory_order_acquire),
           static_cast<unsigned long long>(
               sh.steal_passes.load(std::memory_order_relaxed)),
